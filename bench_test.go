@@ -120,14 +120,14 @@ func BenchmarkFigure3Frontier(b *testing.B) {
 }
 
 // BenchmarkFigure4Scaling regenerates Figure 4: strong scaling of MR
-// and BP(batch=1,10,20) on the lcsh-wiki stand-in across thread counts
-// and scheduling policies. Metric: BP-batch20 speedup at GOMAXPROCS.
+// and BP(batch=1,10,20) on the lcsh-wiki stand-in across thread
+// counts. Metric: BP-batch20 speedup at GOMAXPROCS.
 func BenchmarkFigure4Scaling(b *testing.B) {
 	c := benchConfig()
 	c.Iterations = 4
 	var last *experiments.ScalingResult
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Scaling(c, "lcsh-wiki", nil, []string{"dynamic"})
+		res, err := experiments.Scaling(c, "lcsh-wiki", nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -151,7 +151,7 @@ func BenchmarkFigure5Scaling(b *testing.B) {
 	c.Iterations = 3
 	var last *experiments.ScalingResult
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Scaling(c, "lcsh-rameau", []string{"MR", "BP-batch20"}, []string{"dynamic"})
+		res, err := experiments.Scaling(c, "lcsh-rameau", []string{"MR", "BP-batch20"})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -245,23 +245,6 @@ func BenchmarkAblationBatchSize(b *testing.B) {
 				p.BPAlign(core.BPOptions{
 					Iterations: 5, Batch: batch, Rounding: matching.Approx,
 					SkipFinalExact: true,
-				})
-			}
-		})
-	}
-}
-
-// BenchmarkAblationSchedule compares scheduling policies for the
-// S-indexed loops (the stand-in for the paper's memory-layout axis).
-func BenchmarkAblationSchedule(b *testing.B) {
-	p := ablationProblem(b)
-	for _, sched := range []string{"dynamic", "static", "guided"} {
-		sched := sched
-		b.Run(sched, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				p.BPAlign(core.BPOptions{
-					Iterations: 5, Rounding: matching.Approx,
-					SkipFinalExact: true, Sched: experiments.ParseSchedule(sched),
 				})
 			}
 		})
@@ -366,22 +349,6 @@ func BenchmarkAblationRowMatch(b *testing.B) {
 				obj = r.Objective
 			}
 			b.ReportMetric(obj, "objective")
-		})
-	}
-}
-
-// BenchmarkAblationChunkSize sweeps the dynamic-schedule chunk size
-// around the paper's tuned 1000.
-func BenchmarkAblationChunkSize(b *testing.B) {
-	p := ablationProblem(b)
-	for _, chunk := range []int{100, 1000, 10000} {
-		b.Run(fmt.Sprintf("chunk%d", chunk), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				p.BPAlign(core.BPOptions{
-					Iterations: 5, Chunk: chunk, Rounding: matching.Approx,
-					SkipFinalExact: true,
-				})
-			}
 		})
 	}
 }

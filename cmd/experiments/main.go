@@ -71,13 +71,13 @@ func main() {
 			}
 		case "fig4":
 			var r *experiments.ScalingResult
-			r, err = experiments.Scaling(c, "lcsh-wiki", nil, nil)
+			r, err = experiments.Scaling(c, "lcsh-wiki", nil)
 			if err == nil {
 				report, csv = r.Report, r.CSV()
 			}
 		case "fig5":
 			var r *experiments.ScalingResult
-			r, err = experiments.Scaling(c, "lcsh-rameau", []string{"MR", "BP-batch20"}, nil)
+			r, err = experiments.Scaling(c, "lcsh-rameau", []string{"MR", "BP-batch20"})
 			if err == nil {
 				report, csv = r.Report, r.CSV()
 			}

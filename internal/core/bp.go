@@ -67,25 +67,12 @@ type BPOptions struct {
 	Batch int
 	// Threads is the worker count (<= 0 means GOMAXPROCS).
 	Threads int
-	// Chunk is the dynamic-schedule chunk size (0 = 1000).
+	// Chunk is the context-poll granularity of the S and edge sweeps,
+	// in indices, and the chunk size of the task-parallel othermax
+	// scans (0 = 1000, the paper's dynamic-schedule chunk). The sweeps
+	// themselves split their index spaces by nnz-balanced partitions
+	// (see DESIGN.md §4), so Chunk never changes the output.
 	Chunk int
-	// Sched selects the scheduling policy for the S-indexed loops
-	// (default Dynamic, the paper's choice); the scaling studies vary
-	// it in place of the paper's NUMA memory-layout axis. Sched only
-	// applies under PartitionChunked: the default balanced partition
-	// replaces chunked scheduling entirely.
-	Sched parallel.Schedule
-	// Partition selects how the parallel loops split their index
-	// spaces: PartitionBalanced (default) precomputes contiguous
-	// per-worker ranges of near-equal nonzero count once per problem;
-	// PartitionChunked restores the legacy chunked schedules. The
-	// iterates and the result are bit-identical either way.
-	Partition Partition
-	// NoPool disables the per-run persistent worker pool, making every
-	// parallel region spawn goroutines as earlier versions did. Output
-	// is identical; the option exists for the scheduling studies and
-	// as an escape hatch.
-	NoPool bool
 	// Rounding is the matcher used to round iterates; nil selects
 	// exact matching, matching.Approx gives the paper's substitution.
 	// Unlike MR, BP's iterate sequence is independent of this choice —
@@ -222,12 +209,11 @@ func (p *Problem) BPAlignCtx(ctx context.Context, o BPOptions) (*AlignResult, er
 //
 // All buffers come from the workspace and every kernel closure is
 // created once before the loop, so steady-state iterations perform no
-// heap allocations at Threads=1 (at higher thread counts the parallel
-// constructs spawn goroutines, which inherently allocate).
+// heap allocations: at Threads=1 every region runs inline, and at
+// higher thread counts it dispatches on the run's parked worker pool.
 func (p *Problem) bpAlign(ctx context.Context, o BPOptions, po PipelineOptions, ro ReorderOptions) (*AlignResult, error) {
 	opts := o.defaults()
 	threads, chunk := opts.Threads, opts.Chunk
-	sched := opts.Sched
 	timer := opts.Timer
 	nnz := p.S.NNZ()
 	mEL := p.L.NumEdges()
@@ -280,7 +266,7 @@ func (p *Problem) bpAlign(ctx context.Context, o BPOptions, po PipelineOptions, 
 			execThreads = 1
 		}
 	}
-	e := newExec(p, ws, execThreads, chunk, sched, opts.Partition, opts.NoPool, view)
+	e := newExec(p, ws, execThreads, chunk, view)
 	defer e.close()
 
 	y, z := ws.y, ws.z

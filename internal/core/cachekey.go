@@ -14,9 +14,9 @@ import (
 // and an explicit 100 fingerprint identically), and fields that
 // cannot change the output bits are excluded on purpose:
 //
-//   - Threads, Chunk, Sched, Partition, NoPool: the dispatch layer;
-//     results are pinned bit-identical across all of them
-//     (TestPoolPartitionMatrix{BP,MR}).
+//   - Threads, Chunk: the dispatch layer. Chunk is only the
+//     context-poll and task-chunk granularity, and thread counts agree
+//     to float reduction order (TestThreadCountMatrix{BP,MR}).
 //   - FuseKernels, TaskParallelOthermax: alternative evaluation
 //     orders proven bit-identical to the originals.
 //   - Options.Pipeline, Options.Reorder: execution-layout choices

@@ -51,12 +51,10 @@ func TestCacheFingerprintSensitivity(t *testing.T) {
 
 	// Dispatch-layer and instrumentation changes must not.
 	same := map[string]Options{
-		"threads":   {BP: BPOptions{Iterations: 50, Gamma: 0.9, Batch: 2, Threads: 8}},
-		"chunk":     {BP: BPOptions{Iterations: 50, Gamma: 0.9, Batch: 2, Chunk: 64}},
-		"partition": {BP: BPOptions{Iterations: 50, Gamma: 0.9, Batch: 2, Partition: PartitionChunked}},
-		"nopool":    {BP: BPOptions{Iterations: 50, Gamma: 0.9, Batch: 2, NoPool: true}},
-		"fused":     {BP: BPOptions{Iterations: 50, Gamma: 0.9, Batch: 2, FuseKernels: true}},
-		"trace":     {BP: BPOptions{Iterations: 50, Gamma: 0.9, Batch: 2, Trace: true}},
+		"threads": {BP: BPOptions{Iterations: 50, Gamma: 0.9, Batch: 2, Threads: 8}},
+		"chunk":   {BP: BPOptions{Iterations: 50, Gamma: 0.9, Batch: 2, Chunk: 64}},
+		"fused":   {BP: BPOptions{Iterations: 50, Gamma: 0.9, Batch: 2, FuseKernels: true}},
+		"trace":   {BP: BPOptions{Iterations: 50, Gamma: 0.9, Batch: 2, Trace: true}},
 		"observer": {BP: BPOptions{Iterations: 50, Gamma: 0.9, Batch: 2,
 			Observer: func(int, []float64, []float64) {}}},
 	}

@@ -34,27 +34,12 @@ type MROptions struct {
 	UBound float64
 	// Threads is the worker count (<= 0 means GOMAXPROCS).
 	Threads int
-	// Chunk is the dynamic-schedule chunk size (0 = 1000, the value
-	// the paper tuned for the imbalanced S-indexed loops).
+	// Chunk is the context-poll granularity of the S sweeps, in
+	// indices (0 = 1000, the value the paper tuned as the dynamic
+	// chunk for the imbalanced S-indexed loops). The sweeps themselves
+	// split their index spaces by nnz-balanced partitions (see
+	// DESIGN.md §4), so Chunk never changes the output.
 	Chunk int
-	// Sched selects the scheduling policy for the S-indexed loops
-	// (default Dynamic, the paper's choice). The scheduling-policy
-	// axis substitutes for the paper's NUMA memory-layout axis in the
-	// scaling studies; see DESIGN.md §4. Sched only applies under
-	// PartitionChunked: the default balanced partition replaces
-	// chunked scheduling entirely.
-	Sched parallel.Schedule
-	// Partition selects how the parallel loops split their index
-	// spaces: PartitionBalanced (default) precomputes contiguous
-	// per-worker ranges of near-equal nonzero count once per problem;
-	// PartitionChunked restores the legacy chunked schedules. The
-	// iterates and the result are bit-identical either way.
-	Partition Partition
-	// NoPool disables the per-run persistent worker pool, making every
-	// parallel region spawn goroutines as earlier versions did. Output
-	// is identical; the option exists for the scheduling studies and
-	// as an escape hatch.
-	NoPool bool
 	// Rounding is the bipartite matcher used in Step 3. nil selects
 	// exact matching; pass matching.Approx for the paper's
 	// substitution. Step 1's per-row matchings are always exact ("we
@@ -269,7 +254,6 @@ func (p *Problem) MRAlignCtx(ctx context.Context, o MROptions) (*AlignResult, er
 func (p *Problem) mrAlign(ctx context.Context, o MROptions, po PipelineOptions, ro ReorderOptions) (*AlignResult, error) {
 	opts := o.defaults(p)
 	threads, chunk := opts.Threads, opts.Chunk
-	sched := opts.Sched
 	timer := opts.Timer
 	nnz := p.S.NNZ()
 	mEL := p.L.NumEdges()
@@ -325,7 +309,7 @@ func (p *Problem) mrAlign(ctx context.Context, o MROptions, po PipelineOptions, 
 			execThreads = 1
 		}
 	}
-	e := newExec(p, ws, execThreads, chunk, sched, opts.Partition, opts.NoPool, view)
+	e := newExec(p, ws, execThreads, chunk, view)
 	defer e.close()
 
 	u := ws.u       // Lagrange multipliers (upper triangle only)
@@ -401,10 +385,8 @@ func (p *Problem) mrAlign(ctx context.Context, o MROptions, po PipelineOptions, 
 	// iteration (§IV-B: "We precompute the maximum memory required for
 	// p threads to run matching problems on the rows of S and
 	// preallocate this memory outside of the iteration"). Sized by the
-	// dispatcher's worker-id bound — not Threads, which overestimates
-	// when S has fewer chunks than threads (the scratch-sizing
-	// contract; see exec.rowWorkers).
-	nWorkers := e.rowWorkers(p.S.NumRows)
+	// dispatcher's worker-id bound (see exec.rowWorkers).
+	nWorkers := e.rowWorkers()
 	rowMatchers := make([]*matching.SubsetMatcher, nWorkers)
 	rowSelected := make([][]int, nWorkers)
 	for i := range rowMatchers {
@@ -451,9 +433,9 @@ func (p *Problem) mrAlign(ctx context.Context, o MROptions, po PipelineOptions, 
 		}
 	}
 	// One small exact matching per row; the row problems are tiny and
-	// independent, so parallelize across rows with a dynamic schedule
-	// (the row sizes are highly imbalanced) and solve each with the
-	// worker's preallocated scratch.
+	// independent, so parallelize across rows over the nnz-balanced row
+	// partition (the row sizes are highly imbalanced) and solve each
+	// with the worker's preallocated scratch.
 	rowMatchKernel := func(worker, lo, hi int) {
 		sm := rowMatchers[worker]
 		for e1 := lo; e1 < hi; e1++ {

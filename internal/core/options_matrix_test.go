@@ -3,7 +3,7 @@ package core_test
 // Table-driven interaction test: every combination of the main BP and
 // MR option axes must produce a valid matching, and with deterministic
 // (exact) rounding the objective must be identical across the purely
-// scheduling axes (threads, batch, schedule, task-parallel othermax).
+// scheduling axes (threads, batch, task-parallel othermax).
 
 import (
 	"fmt"
@@ -12,7 +12,6 @@ import (
 
 	"netalignmc/internal/core"
 	"netalignmc/internal/matching"
-	"netalignmc/internal/parallel"
 )
 
 func TestBPOptionMatrix(t *testing.T) {
@@ -20,20 +19,18 @@ func TestBPOptionMatrix(t *testing.T) {
 	ref := p.BPAlign(core.BPOptions{Iterations: 10})
 	for _, batch := range []int{1, 7, 20} {
 		for _, threads := range []int{1, 3} {
-			for _, sched := range []parallel.Schedule{parallel.Dynamic, parallel.Static, parallel.Guided} {
-				for _, taskOM := range []bool{false, true} {
-					name := fmt.Sprintf("batch=%d/threads=%d/%v/taskOM=%v", batch, threads, sched, taskOM)
-					r := p.BPAlign(core.BPOptions{
-						Iterations: 10, Batch: batch, Threads: threads,
-						Sched: sched, TaskParallelOthermax: taskOM, Chunk: 16,
-					})
-					if err := r.Matching.Validate(p.L); err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					if math.Abs(r.Objective-ref.Objective) > 1e-9 {
-						t.Fatalf("%s: objective %g != reference %g (scheduling axes must not change results)",
-							name, r.Objective, ref.Objective)
-					}
+			for _, taskOM := range []bool{false, true} {
+				name := fmt.Sprintf("batch=%d/threads=%d/taskOM=%v", batch, threads, taskOM)
+				r := p.BPAlign(core.BPOptions{
+					Iterations: 10, Batch: batch, Threads: threads,
+					TaskParallelOthermax: taskOM, Chunk: 16,
+				})
+				if err := r.Matching.Validate(p.L); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if math.Abs(r.Objective-ref.Objective) > 1e-9 {
+					t.Fatalf("%s: objective %g != reference %g (scheduling axes must not change results)",
+						name, r.Objective, ref.Objective)
 				}
 			}
 		}
@@ -63,19 +60,17 @@ func TestMROptionMatrix(t *testing.T) {
 	p := smallSynthetic(t, 79)
 	ref := p.KlauAlign(core.MROptions{Iterations: 8})
 	for _, threads := range []int{1, 3} {
-		for _, sched := range []parallel.Schedule{parallel.Dynamic, parallel.Static} {
-			for _, greedyRows := range []bool{false, true} {
-				name := fmt.Sprintf("threads=%d/%v/greedyRows=%v", threads, sched, greedyRows)
-				r := p.KlauAlign(core.MROptions{
-					Iterations: 8, Threads: threads, Sched: sched,
-					GreedyRowMatch: greedyRows, Chunk: 16,
-				})
-				if err := r.Matching.Validate(p.L); err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if !greedyRows && math.Abs(r.Objective-ref.Objective) > 1e-9 {
-					t.Fatalf("%s: objective %g != reference %g", name, r.Objective, ref.Objective)
-				}
+		for _, greedyRows := range []bool{false, true} {
+			name := fmt.Sprintf("threads=%d/greedyRows=%v", threads, greedyRows)
+			r := p.KlauAlign(core.MROptions{
+				Iterations: 8, Threads: threads,
+				GreedyRowMatch: greedyRows, Chunk: 16,
+			})
+			if err := r.Matching.Validate(p.L); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !greedyRows && math.Abs(r.Objective-ref.Objective) > 1e-9 {
+				t.Fatalf("%s: objective %g != reference %g", name, r.Objective, ref.Objective)
 			}
 		}
 	}

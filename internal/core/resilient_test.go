@@ -8,6 +8,7 @@ package core_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -48,48 +49,61 @@ func checkValid(t *testing.T, p *core.Problem, res *core.AlignResult) {
 	}
 }
 
+// The cancellation tests run at the default thread count (pooled
+// regions) and at Threads=1, where every region runs inline and only
+// the serial path's ctx polling can stop a sweep.
+var cancelThreadCounts = []int{0, 1}
+
 func TestFaultBPCancelledMidRunReturnsPromptly(t *testing.T) {
 	p := syntheticProblem(t, 600)
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(100 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
-	// An iteration budget that would run for minutes uncancelled.
-	res, err := p.BPAlignCtx(ctx, core.BPOptions{Iterations: 1_000_000})
-	elapsed := time.Since(start)
-	if err != nil {
-		t.Fatalf("cancellation is not an error: %v", err)
+	for _, threads := range cancelThreadCounts {
+		t.Run(fmt.Sprintf("threads=%d", threads), func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			go func() {
+				time.Sleep(100 * time.Millisecond)
+				cancel()
+			}()
+			start := time.Now()
+			// An iteration budget that would run for minutes uncancelled.
+			res, err := p.BPAlignCtx(ctx, core.BPOptions{Iterations: 1_000_000, Threads: threads})
+			elapsed := time.Since(start)
+			if err != nil {
+				t.Fatalf("cancellation is not an error: %v", err)
+			}
+			if elapsed >= 2*time.Second {
+				t.Fatalf("cancelled run took %v, want < 2s", elapsed)
+			}
+			if res.Stopped != core.StopCancelled {
+				t.Fatalf("stopped = %v, want cancelled", res.Stopped)
+			}
+			checkValid(t, p, res)
+		})
 	}
-	if elapsed >= 2*time.Second {
-		t.Fatalf("cancelled run took %v, want < 2s", elapsed)
-	}
-	if res.Stopped != core.StopCancelled {
-		t.Fatalf("stopped = %v, want cancelled", res.Stopped)
-	}
-	checkValid(t, p, res)
 }
 
 func TestFaultMRCancelledMidRun(t *testing.T) {
 	p := syntheticProblem(t, 400)
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
-	res, err := p.MRAlignCtx(ctx, core.MROptions{Iterations: 1_000_000})
-	if err != nil {
-		t.Fatalf("cancellation is not an error: %v", err)
+	for _, threads := range cancelThreadCounts {
+		t.Run(fmt.Sprintf("threads=%d", threads), func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			go func() {
+				time.Sleep(50 * time.Millisecond)
+				cancel()
+			}()
+			start := time.Now()
+			res, err := p.MRAlignCtx(ctx, core.MROptions{Iterations: 1_000_000, Threads: threads})
+			if err != nil {
+				t.Fatalf("cancellation is not an error: %v", err)
+			}
+			if e := time.Since(start); e >= 2*time.Second {
+				t.Fatalf("cancelled run took %v", e)
+			}
+			if res.Stopped != core.StopCancelled {
+				t.Fatalf("stopped = %v", res.Stopped)
+			}
+			checkValid(t, p, res)
+		})
 	}
-	if e := time.Since(start); e >= 2*time.Second {
-		t.Fatalf("cancelled run took %v", e)
-	}
-	if res.Stopped != core.StopCancelled {
-		t.Fatalf("stopped = %v", res.Stopped)
-	}
-	checkValid(t, p, res)
 }
 
 func TestFaultBPDeadline(t *testing.T) {

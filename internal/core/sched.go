@@ -6,38 +6,14 @@ import (
 	"netalignmc/internal/parallel"
 )
 
-// Partition selects how the solvers split their parallel index spaces
-// across workers.
-type Partition int
-
-const (
-	// PartitionBalanced (the default) derives contiguous per-worker
-	// ranges of near-equal cumulative nonzero count once per problem
-	// (see parallel.BalancedOffsets) and reuses them every iteration.
-	// The paper's S-indexed loops are the motivating case: "the
-	// non-zero distribution in S is highly irregular and imbalanced",
-	// so equal index ranges leave one worker with the heavy rows while
-	// chunked dynamic scheduling pays an atomic fetch-and-add per
-	// chunk. A cost-balanced static partition gets the even split
-	// without the shared counter.
-	PartitionBalanced Partition = iota
-	// PartitionChunked restores the legacy chunked scheduling: the
-	// options' Sched policy for the S-indexed loops and chunked dynamic
-	// for the row kernels.
-	PartitionChunked
-)
-
-// String returns the partition policy name.
-func (p Partition) String() string {
-	if p == PartitionChunked {
-		return "chunked"
-	}
-	return "balanced"
-}
-
 // partitionSet holds the balanced per-worker range boundaries of one
 // (problem, worker count) pair, cached in the workspace so a solve
-// derives them once and every iteration reuses them.
+// derives them once and every iteration reuses them. The paper's
+// S-indexed loops are the motivating case: "the non-zero distribution
+// in S is highly irregular and imbalanced", so equal index ranges leave
+// one worker with the heavy rows while chunked dynamic scheduling pays
+// an atomic fetch-and-add per chunk. A cost-balanced static partition
+// gets the even split without the shared counter.
 type partitionSet struct {
 	prob    *Problem
 	workers int
@@ -68,40 +44,35 @@ func (ws *Workspace) ensureParts(p *Problem, workers int, view *reorderView) *pa
 	return ps
 }
 
-// exec routes the solvers' parallel regions: onto the run's persistent
-// worker pool (unless NoPool), with either the balanced per-problem
-// partitions or the legacy chunked schedules (Partition). Every loop it
-// dispatches writes disjoint indices elementwise, so the partitioning
-// choice cannot change the solver output: results are bit-identical
-// across pool on/off and balanced/chunked for a fixed thread count.
-// Reductions are not routed here — they keep the free functions' fixed
-// equal-split partition so their float combine order is stable.
+// exec routes the solvers' parallel regions down one of two paths:
+//
+//   - serial (one thread): every region runs inline on the calling
+//     goroutine, and the context-aware sweeps poll ctx every chunk
+//     indices. No pool, no goroutine, no shared-pool handoff.
+//   - pooled (more than one thread): every region dispatches on the
+//     run's own persistent worker pool, the S-row and L-vertex loops
+//     over the nnz- and degree-balanced partitions cached in the
+//     workspace.
+//
+// Every loop it dispatches writes disjoint indices elementwise, so the
+// split cannot change the solver output. Reductions are not routed
+// here — they keep the free functions' fixed equal-split partition so
+// their float combine order is stable.
 type exec struct {
-	pool     *parallel.Pool
-	sched    parallel.Schedule
-	threads  int
-	chunk    int
-	serial   bool
-	balanced bool
-	parts    *partitionSet
+	pool    *parallel.Pool // nil on the serial path
+	threads int
+	chunk   int
+	parts   *partitionSet
 }
 
-// newExec prepares the run's dispatcher: resolves the partition policy,
-// derives (or reuses) the balanced offsets, and starts the per-run
+// newExec prepares the run's dispatcher: for more than one thread it
+// derives (or reuses) the balanced offsets and starts the per-run
 // worker pool. The caller must close the exec when the solve ends.
-func newExec(p *Problem, ws *Workspace, threads, chunk int, sched parallel.Schedule, part Partition, noPool bool, view *reorderView) *exec {
-	e := &exec{sched: sched, threads: threads, chunk: chunk}
-	t := parallel.Threads(threads)
-	if t == 1 {
-		e.serial = true
-		return e
-	}
-	e.balanced = part == PartitionBalanced
-	if e.balanced {
-		e.parts = ws.ensureParts(p, t, view)
-	}
-	if !noPool {
-		e.pool = parallel.NewPool(t)
+func newExec(p *Problem, ws *Workspace, threads, chunk int, view *reorderView) *exec {
+	e := &exec{threads: parallel.Threads(threads), chunk: chunk}
+	if e.threads > 1 {
+		e.parts = ws.ensureParts(p, e.threads, view)
+		e.pool = parallel.NewPool(e.threads)
 	}
 	return e
 }
@@ -113,126 +84,125 @@ func (e *exec) close() {
 	}
 }
 
-// forNNZ runs an elementwise sweep over the nonzero index space (or any
-// uniform-cost index space). Uniform cost makes the balanced partition
-// the equal static split; chunked keeps the options' Sched policy.
-func (e *exec) forNNZ(ctx context.Context, n int, body func(lo, hi int)) {
-	switch {
-	case e.serial:
-		e.sched.ForCtx(ctx, n, e.threads, e.chunk, body)
-	case e.balanced && e.pool != nil:
-		e.pool.ForStaticCtx(ctx, n, e.threads, e.chunk, body)
-	case e.balanced:
-		parallel.ForStaticCtx(ctx, n, e.threads, e.chunk, body)
-	case e.pool != nil:
-		e.pool.ForSchedCtx(ctx, e.sched, n, e.threads, e.chunk, body)
-	default:
-		e.sched.ForCtx(ctx, n, e.threads, e.chunk, body)
+// inline runs body over [0, n) in one call on the caller's goroutine.
+func inline(n int, body func(lo, hi int)) {
+	if n > 0 {
+		body(0, n)
 	}
+}
+
+// inlineCtx runs body over [0, n) on the caller's goroutine in pieces
+// of e.chunk indices, polling ctx before each piece. A context that
+// can never be cancelled runs the whole range in one call.
+func (e *exec) inlineCtx(ctx context.Context, n int, body func(lo, hi int)) {
+	done := ctx.Done()
+	if done == nil {
+		inline(n, body)
+		return
+	}
+	for lo := 0; lo < n; lo += e.chunk {
+		select {
+		case <-done:
+			return
+		default:
+		}
+		body(lo, min(lo+e.chunk, n))
+	}
+}
+
+// forNNZ runs an elementwise sweep over the nonzero index space (or any
+// uniform-cost index space). Uniform cost makes the equal static split
+// the balanced one.
+func (e *exec) forNNZ(ctx context.Context, n int, body func(lo, hi int)) {
+	if e.pool == nil {
+		e.inlineCtx(ctx, n, body)
+		return
+	}
+	e.pool.ForStaticCtx(ctx, n, e.threads, e.chunk, body)
 }
 
 // forSRows runs body over the rows of S (the per-index cost is the row
 // nonzero count), using the cached nnz-balanced row partition.
 func (e *exec) forSRows(ctx context.Context, n int, body func(lo, hi int)) {
-	switch {
-	case e.serial:
-		e.sched.ForCtx(ctx, n, e.threads, e.chunk, body)
-	case e.balanced && e.pool != nil:
-		e.pool.ForOffsetsCtx(ctx, e.parts.sRows, e.chunk, body)
-	case e.balanced:
-		parallel.ForOffsetsCtx(ctx, e.parts.sRows, e.chunk, body)
-	case e.pool != nil:
-		e.pool.ForSchedCtx(ctx, e.sched, n, e.threads, e.chunk, body)
-	default:
-		e.sched.ForCtx(ctx, n, e.threads, e.chunk, body)
+	if e.pool == nil {
+		e.inlineCtx(ctx, n, body)
+		return
 	}
+	e.pool.ForOffsetsCtx(ctx, e.parts.sRows, e.chunk, body)
 }
 
 // forSRowsWorker is forSRows with a worker id for per-worker scratch.
-// Scratch must be sized by rowWorkers(n), the single source of truth
-// for how many distinct ids the body can observe.
+// Scratch must be sized by rowWorkers, the single source of truth for
+// how many distinct ids the body can observe.
 func (e *exec) forSRowsWorker(n int, body func(worker, lo, hi int)) {
-	switch {
-	case e.serial:
+	if e.pool == nil {
 		body(0, 0, n)
-	case e.balanced && e.pool != nil:
-		e.pool.ForOffsetsWorker(e.parts.sRows, body)
-	case e.balanced:
-		parallel.ForOffsetsWorker(e.parts.sRows, body)
-	case e.pool != nil:
-		e.pool.ForDynamicWorker(n, e.threads, e.chunk, body)
-	default:
-		parallel.ForDynamicWorker(n, e.threads, e.chunk, body)
+		return
 	}
+	e.pool.ForOffsetsWorker(e.parts.sRows, body)
 }
 
-// rowWorkers reports how many distinct worker ids forSRowsWorker(n, ·)
-// can hand out: the number callers must size per-worker scratch by.
-// (Sizing by Threads overestimates when n is small relative to the
-// chunk — the old contract bug — and underestimates nothing.)
-func (e *exec) rowWorkers(n int) int {
-	if e.serial {
+// rowWorkers reports how many distinct worker ids forSRowsWorker can
+// hand out: the number callers must size per-worker scratch by.
+func (e *exec) rowWorkers() int {
+	if e.pool == nil {
 		return 1
 	}
-	if e.balanced {
-		return e.parts.workers
-	}
-	return parallel.PlannedWorkers(n, e.threads, e.chunk)
+	return e.parts.workers
 }
 
 // forEdges runs an elementwise sweep over the edges of L. The cost is
-// uniform, so the equal static split is already balanced; the pool only
-// removes the per-region goroutine spawns.
+// uniform, so the equal static split is already balanced.
 func (e *exec) forEdges(n int, body func(lo, hi int)) {
-	if e.pool != nil {
-		e.pool.ForStatic(n, e.threads, body)
+	if e.pool == nil {
+		inline(n, body)
 		return
 	}
-	parallel.ForStatic(n, e.threads, body)
+	e.pool.ForStatic(n, e.threads, body)
 }
 
 // forLRows runs body over the V_A vertices of L (cost = degree) with
 // the cached degree-balanced partition.
 func (e *exec) forLRows(n int, body func(lo, hi int)) {
-	e.forDegrees(n, body, func() []int { return e.parts.lRows })
+	if e.pool == nil {
+		inline(n, body)
+		return
+	}
+	e.pool.ForOffsets(e.parts.lRows, body)
 }
 
 // forLCols runs body over the V_B vertices of L (cost = degree).
 func (e *exec) forLCols(n int, body func(lo, hi int)) {
-	e.forDegrees(n, body, func() []int { return e.parts.lCols })
-}
-
-func (e *exec) forDegrees(n int, body func(lo, hi int), offs func() []int) {
-	switch {
-	case e.serial:
-		if n > 0 {
-			body(0, n)
-		}
-	case e.balanced && e.pool != nil:
-		e.pool.ForOffsets(offs(), body)
-	case e.balanced:
-		parallel.ForOffsets(offs(), body)
-	case e.pool != nil:
-		e.pool.ForDynamic(n, e.threads, e.chunk, body)
-	default:
-		parallel.ForDynamic(n, e.threads, e.chunk, body)
-	}
-}
-
-// runTasks dispatches coarse-grained task parallelism (othermax task
-// mode, batched rounding) on the run pool when available.
-func (e *exec) runTasks(tasks []func(threads int)) {
-	if e.pool != nil {
-		e.pool.Tasks(e.threads, tasks)
+	if e.pool == nil {
+		inline(n, body)
 		return
 	}
-	parallel.Tasks(e.threads, tasks)
+	e.pool.ForOffsets(e.parts.lCols, body)
 }
 
-// runTasksCtx is runTasks with cooperative cancellation.
-func (e *exec) runTasksCtx(ctx context.Context, tasks []func(threads int)) error {
-	if e.pool != nil {
-		return e.pool.TasksCtx(ctx, e.threads, tasks)
+// runTasks runs coarse-grained tasks (othermax task mode): one after
+// another on the serial path, on the run pool otherwise.
+func (e *exec) runTasks(tasks []func(threads int)) {
+	if e.pool == nil {
+		for _, task := range tasks {
+			task(1)
+		}
+		return
 	}
-	return parallel.TasksCtx(ctx, e.threads, tasks)
+	e.pool.Tasks(e.threads, tasks)
+}
+
+// runTasksCtx is runTasks with cooperative cancellation: tasks not yet
+// started when ctx ends are skipped.
+func (e *exec) runTasksCtx(ctx context.Context, tasks []func(threads int)) error {
+	if e.pool == nil {
+		for _, task := range tasks {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			task(1)
+		}
+		return nil
+	}
+	return e.pool.TasksCtx(ctx, e.threads, tasks)
 }

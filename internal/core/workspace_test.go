@@ -10,7 +10,7 @@ package core_test
 //     only per-iteration costs remain.
 //  2. Bit identity: the fused othermax+damping kernels produce bitwise
 //     identical message iterates and results to the unfused path,
-//     across the batch/threads/damping/schedule option axes.
+//     across the batch/threads/damping option axes.
 
 import (
 	"context"
@@ -20,7 +20,6 @@ import (
 
 	"netalignmc/internal/core"
 	"netalignmc/internal/matching"
-	"netalignmc/internal/parallel"
 )
 
 // allocsPerIter measures the per-iteration allocation count of solve
@@ -40,9 +39,9 @@ func TestBPSteadyStateZeroAlloc(t *testing.T) {
 		solve := func(iters int) {
 			res, err := p.Align(context.Background(), core.Options{Method: core.MethodBP, BP: core.BPOptions{
 				Iterations: iters, Threads: 1, Batch: 1,
-				Matcher:     matching.MatcherSpec{Name: "approx"},
-				Workspace:   ws,
-				FuseKernels: fused,
+				Matcher:        matching.MatcherSpec{Name: "approx"},
+				Workspace:      ws,
+				FuseKernels:    fused,
 				SkipFinalExact: true,
 			}})
 			if err != nil {
@@ -131,42 +130,40 @@ func TestFusedKernelsBitIdentical(t *testing.T) {
 	for _, threads := range []int{1, 3} {
 		for _, batch := range []int{1, 4} {
 			for _, damp := range []core.Damping{core.DampPower, core.DampConstant, core.DampNone} {
-				for _, sched := range []parallel.Schedule{parallel.Dynamic, parallel.Static} {
-					name := fmt.Sprintf("threads=%d/batch=%d/damp=%v/%v", threads, batch, damp, sched)
-					run := func(fused bool) ([]uint64, *core.AlignResult) {
-						var bits []uint64
-						res := p.BPAlign(core.BPOptions{
-							Iterations: 12, Batch: batch, Threads: threads,
-							Damp: damp, Sched: sched, Chunk: 16,
-							Matcher:     matching.MatcherSpec{Name: "approx"},
-							FuseKernels: fused,
-							Observer: func(iter int, y, z []float64) {
-								for _, v := range y {
-									bits = append(bits, math.Float64bits(v))
-								}
-								for _, v := range z {
-									bits = append(bits, math.Float64bits(v))
-								}
-							},
-						})
-						return bits, res
+				name := fmt.Sprintf("threads=%d/batch=%d/damp=%v", threads, batch, damp)
+				run := func(fused bool) ([]uint64, *core.AlignResult) {
+					var bits []uint64
+					res := p.BPAlign(core.BPOptions{
+						Iterations: 12, Batch: batch, Threads: threads,
+						Damp: damp, Chunk: 16,
+						Matcher:     matching.MatcherSpec{Name: "approx"},
+						FuseKernels: fused,
+						Observer: func(iter int, y, z []float64) {
+							for _, v := range y {
+								bits = append(bits, math.Float64bits(v))
+							}
+							for _, v := range z {
+								bits = append(bits, math.Float64bits(v))
+							}
+						},
+					})
+					return bits, res
+				}
+				plainBits, plainRes := run(false)
+				fusedBits, fusedRes := run(true)
+				if len(plainBits) != len(fusedBits) {
+					t.Fatalf("%s: observed %d vs %d message words", name, len(plainBits), len(fusedBits))
+				}
+				for i := range plainBits {
+					if plainBits[i] != fusedBits[i] {
+						t.Fatalf("%s: message word %d differs: %x vs %x", name, i, plainBits[i], fusedBits[i])
 					}
-					plainBits, plainRes := run(false)
-					fusedBits, fusedRes := run(true)
-					if len(plainBits) != len(fusedBits) {
-						t.Fatalf("%s: observed %d vs %d message words", name, len(plainBits), len(fusedBits))
-					}
-					for i := range plainBits {
-						if plainBits[i] != fusedBits[i] {
-							t.Fatalf("%s: message word %d differs: %x vs %x", name, i, plainBits[i], fusedBits[i])
-						}
-					}
-					if math.Float64bits(plainRes.Objective) != math.Float64bits(fusedRes.Objective) {
-						t.Fatalf("%s: objective %v vs %v", name, plainRes.Objective, fusedRes.Objective)
-					}
-					if plainRes.BestIter != fusedRes.BestIter {
-						t.Fatalf("%s: bestIter %d vs %d", name, plainRes.BestIter, fusedRes.BestIter)
-					}
+				}
+				if math.Float64bits(plainRes.Objective) != math.Float64bits(fusedRes.Objective) {
+					t.Fatalf("%s: objective %v vs %v", name, plainRes.Objective, fusedRes.Objective)
+				}
+				if plainRes.BestIter != fusedRes.BestIter {
+					t.Fatalf("%s: bestIter %d vs %d", name, plainRes.BestIter, fusedRes.BestIter)
 				}
 			}
 		}

@@ -40,9 +40,9 @@ func (r *Fig3Result) CSV() string {
 
 // CSV renders the scaling measurements (Figures 4/5).
 func (r *ScalingResult) CSV() string {
-	tbl := stats.NewTable("problem", "method", "schedule", "threads", "seconds", "speedup")
+	tbl := stats.NewTable("problem", "method", "threads", "seconds", "speedup")
 	for _, pt := range r.Points {
-		tbl.AddRow(r.Problem, pt.Method, pt.Schedule, fmt.Sprint(pt.Threads),
+		tbl.AddRow(r.Problem, pt.Method, fmt.Sprint(pt.Threads),
 			fmt.Sprintf("%.6f", pt.Elapsed.Seconds()), fmt.Sprintf("%.4f", pt.Speedup))
 	}
 	return tbl.CSV()

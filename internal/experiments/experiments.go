@@ -15,7 +15,6 @@ import (
 	"netalignmc/internal/core"
 	"netalignmc/internal/gen"
 	"netalignmc/internal/matching"
-	"netalignmc/internal/parallel"
 	"netalignmc/internal/stats"
 )
 
@@ -336,7 +335,7 @@ func buildNamed(name string, c Config) (*core.Problem, error) {
 // scaling studies.
 type ScalingMethod struct {
 	Name  string
-	Run   func(p *core.Problem, threads, iterations int, sched string) time.Duration
+	Run   func(p *core.Problem, threads, iterations int) time.Duration
 	Batch int
 }
 
@@ -346,24 +345,22 @@ type ScalingMethod struct {
 // ("we do not include the time required for the final exact bipartite
 // matching step in these experiments").
 func scalingMethods() []ScalingMethod {
-	run := func(batch int) func(*core.Problem, int, int, string) time.Duration {
-		return func(p *core.Problem, threads, iterations int, sched string) time.Duration {
+	run := func(batch int) func(*core.Problem, int, int) time.Duration {
+		return func(p *core.Problem, threads, iterations int) time.Duration {
 			start := time.Now()
 			p.BPAlign(core.BPOptions{
 				Iterations: iterations, Threads: threads, Batch: batch,
 				Gamma: 0.99, Rounding: matching.Approx, SkipFinalExact: true,
-				Sched: parseSched(sched),
 			})
 			return time.Since(start)
 		}
 	}
 	return []ScalingMethod{
-		{Name: "MR", Run: func(p *core.Problem, threads, iterations int, sched string) time.Duration {
+		{Name: "MR", Run: func(p *core.Problem, threads, iterations int) time.Duration {
 			start := time.Now()
 			p.KlauAlign(core.MROptions{
 				Iterations: iterations, Threads: threads, MStep: 10,
 				Rounding: matching.Approx, SkipFinalExact: true,
-				Sched: parseSched(sched),
 			})
 			return time.Since(start)
 		}},
@@ -373,27 +370,11 @@ func scalingMethods() []ScalingMethod {
 	}
 }
 
-// ParseSchedule maps a policy name ("dynamic", "static", "guided") to
-// a parallel.Schedule; unknown names select the default Dynamic.
-func ParseSchedule(s string) parallel.Schedule { return parseSched(s) }
-
-func parseSched(s string) parallel.Schedule {
-	switch s {
-	case "static":
-		return parallel.Static
-	case "guided":
-		return parallel.Guided
-	default:
-		return parallel.Dynamic
-	}
-}
-
 // ScalingPoint is one timing measurement. Efficiency is
 // Speedup/Threads (1.0 = perfect strong scaling).
 type ScalingPoint struct {
 	Method     string
 	Threads    int
-	Schedule   string
 	Elapsed    time.Duration
 	Speedup    float64
 	Efficiency float64
@@ -408,18 +389,15 @@ type ScalingResult struct {
 
 // Scaling runs the strong-scaling study of Figures 4 (lcsh-wiki) and 5
 // (lcsh-rameau): wall time of a fixed number of iterations as the
-// thread count varies, for each method and scheduling policy, with
-// speedups relative to the fastest single-thread run of that method
-// (the paper normalizes the same way). methods filters by name; nil
-// means all. schedules defaults to {"dynamic", "static"} — our stand-in
-// for the paper's interleaved/bound memory-layout axis.
-func Scaling(c Config, problem string, methods []string, schedules []string) (*ScalingResult, error) {
+// thread count varies, for each method, with speedups relative to the
+// single-thread run of that method (the paper normalizes the same
+// way). methods filters by name; nil means all. The paper's second
+// axis, bound versus interleaved NUMA memory, is not reproduced: Go
+// cannot bind a goroutine's memory to a NUMA node.
+func Scaling(c Config, problem string, methods []string) (*ScalingResult, error) {
 	p, err := buildNamed(problem, c)
 	if err != nil {
 		return nil, err
-	}
-	if len(schedules) == 0 {
-		schedules = []string{"dynamic", "static"}
 	}
 	wanted := func(name string) bool {
 		if len(methods) == 0 {
@@ -447,15 +425,13 @@ func Scaling(c Config, problem string, methods []string, schedules []string) (*S
 			}
 		}
 		best1 := time.Duration(0)
-		for _, sched := range schedules {
-			for _, t := range c.threadList() {
-				el := m.Run(p, t, c.Iterations, sched)
-				res.Points = append(res.Points, ScalingPoint{
-					Method: m.Name, Threads: t, Schedule: sched, Elapsed: el,
-				})
-				if t == minThreads && (best1 == 0 || el < best1) {
-					best1 = el
-				}
+		for _, t := range c.threadList() {
+			el := m.Run(p, t, c.Iterations)
+			res.Points = append(res.Points, ScalingPoint{
+				Method: m.Name, Threads: t, Elapsed: el,
+			})
+			if t == minThreads && (best1 == 0 || el < best1) {
+				best1 = el
 			}
 		}
 		if best1 > 0 {
@@ -469,9 +445,9 @@ func Scaling(c Config, problem string, methods []string, schedules []string) (*S
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "Strong scaling on %s (scale %g, %d iterations, speedup vs best 1-thread run)\n", problem, c.Scale, c.Iterations)
-	tbl := stats.NewTable("method", "schedule", "threads", "time", "speedup", "efficiency")
+	tbl := stats.NewTable("method", "threads", "time", "speedup", "efficiency")
 	for _, pt := range res.Points {
-		tbl.AddRow(pt.Method, pt.Schedule, fmt.Sprint(pt.Threads),
+		tbl.AddRow(pt.Method, fmt.Sprint(pt.Threads),
 			pt.Elapsed.Round(time.Millisecond).String(), fmt.Sprintf("%.2f", pt.Speedup),
 			fmt.Sprintf("%.2f", pt.Efficiency))
 	}

@@ -115,11 +115,11 @@ func TestFig3(t *testing.T) {
 func TestScaling(t *testing.T) {
 	c := quickConfig()
 	c.Iterations = 3
-	res, err := Scaling(c, "dmela-scere", []string{"MR", "BP-batch1"}, []string{"dynamic"})
+	res, err := Scaling(c, "dmela-scere", []string{"MR", "BP-batch1"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 2 methods × 1 schedule × 2 thread counts.
+	// 2 methods × 2 thread counts.
 	if len(res.Points) != 4 {
 		t.Fatalf("points = %d, want 4", len(res.Points))
 	}
@@ -269,15 +269,6 @@ func TestConfigThreadList(t *testing.T) {
 	}
 }
 
-func TestParseSched(t *testing.T) {
-	if parseSched("static").String() != "static" ||
-		parseSched("guided").String() != "guided" ||
-		parseSched("dynamic").String() != "dynamic" ||
-		parseSched("").String() != "dynamic" {
-		t.Fatal("parseSched wrong")
-	}
-}
-
 func TestMatcherComparison(t *testing.T) {
 	res, err := MatcherComparison(quickConfig(), "dmela-scere")
 	if err != nil {
@@ -402,11 +393,11 @@ func TestCSVOutputs(t *testing.T) {
 	if !strings.Contains(mc.CSV(), "suitor") {
 		t.Fatal("matcher csv missing rows")
 	}
-	sc, err := Scaling(c, "dmela-scere", []string{"MR"}, []string{"dynamic"})
+	sc, err := Scaling(c, "dmela-scere", []string{"MR"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sc.CSV(), "dynamic") {
+	if !strings.Contains(sc.CSV(), "dmela-scere,MR,1,") {
 		t.Fatal("scaling csv missing rows")
 	}
 	ss, err := StepScaling(c, "dmela-scere", "MR")

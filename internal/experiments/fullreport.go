@@ -41,13 +41,13 @@ func FullReport(c Config, w io.Writer) error {
 		section(fmt.Sprintf("Figure 3 — weight/overlap frontier (%s)", problem), f3.Report)
 	}
 
-	f4, err := Scaling(c, "lcsh-wiki", nil, nil)
+	f4, err := Scaling(c, "lcsh-wiki", nil)
 	if err != nil {
 		return fmt.Errorf("fig4: %w", err)
 	}
 	section("Figure 4 — strong scaling, lcsh-wiki", f4.Report)
 
-	f5, err := Scaling(c, "lcsh-rameau", []string{"MR", "BP-batch20"}, nil)
+	f5, err := Scaling(c, "lcsh-rameau", []string{"MR", "BP-batch20"})
 	if err != nil {
 		return fmt.Errorf("fig5: %w", err)
 	}

@@ -131,26 +131,6 @@ func PlannedWorkers(n, p, chunk int) int {
 	return p
 }
 
-// ForBalanced runs body over [0, len(costs)) partitioned into p
-// contiguous ranges of near-equal cumulative cost (see
-// BalancedOffsets). It computes the partition on every call; hot loops
-// should precompute the offsets once per problem and use ForOffsets.
-func ForBalanced(costs []int32, p int, body func(lo, hi int)) {
-	n := len(costs)
-	p = Threads(p)
-	if n <= 0 {
-		return
-	}
-	if p == 1 || n == 1 {
-		body(0, n)
-		return
-	}
-	if p > n {
-		p = n
-	}
-	ForOffsets(BalancedOffsets(costs, p, nil), body)
-}
-
 // ForOffsets runs body over a precomputed partition (offsets as
 // produced by BalancedOffsets), one part per worker. Empty parts are
 // skipped. Like the other free functions it dispatches on the shared
@@ -170,47 +150,6 @@ func ForOffsets(offsets []int, body func(lo, hi int)) {
 		return
 	}
 	forOffsetsSpawn(offsets, body)
-}
-
-// ForOffsetsCtx is ForOffsets with cooperative cancellation: each part
-// is processed in sub-chunks of size chunk (<= 0 selects 8 sub-chunks
-// per part) with a context poll between them.
-func ForOffsetsCtx(ctx context.Context, offsets []int, chunk int, body func(lo, hi int)) error {
-	if !cancellable(ctx) {
-		ForOffsets(offsets, body)
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	parts := len(offsets) - 1
-	if parts <= 0 || offsets[parts] <= offsets[0] {
-		return nil
-	}
-	if sp := acquireShared(parts); sp != nil {
-		defer releaseShared()
-		return sp.ForOffsetsCtx(ctx, offsets, chunk, body)
-	}
-	return forOffsetsCtxSpawn(ctx, offsets, chunk, body)
-}
-
-// ForOffsetsWorker is ForOffsets with the part index exposed as the
-// worker id for per-worker scratch; part k always runs as worker k.
-func ForOffsetsWorker(offsets []int, body func(worker, lo, hi int)) {
-	parts := len(offsets) - 1
-	if parts <= 0 || offsets[parts] <= offsets[0] {
-		return
-	}
-	if parts == 1 {
-		body(0, offsets[0], offsets[1])
-		return
-	}
-	if sp := acquireShared(parts); sp != nil {
-		defer releaseShared()
-		sp.ForOffsetsWorker(offsets, body)
-		return
-	}
-	forOffsetsWorkerSpawn(offsets, body)
 }
 
 func forOffsetsSpawn(offsets []int, body func(lo, hi int)) {
@@ -249,26 +188,7 @@ func forOffsetsCtxSpawn(ctx context.Context, offsets []int, chunk int, body func
 		go func(lo, hi int) {
 			defer wg.Done()
 			defer pb.capture()
-			step := chunk
-			if step <= 0 {
-				step = (hi - lo + 7) / 8
-			}
-			if step < 1 {
-				step = 1
-			}
-			for lo < hi {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				end := lo + step
-				if end > hi {
-					end = hi
-				}
-				body(lo, end)
-				lo = end
-			}
+			runChunked(done, lo, hi, chunk, body)
 		}(lo, hi)
 	}
 	wg.Wait()

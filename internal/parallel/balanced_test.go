@@ -3,7 +3,6 @@ package parallel
 import (
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"testing"
 )
 
@@ -120,58 +119,29 @@ func TestBalancedOffsetsReusesBuffer(t *testing.T) {
 	}
 }
 
-func TestForBalancedCoversIndexSpace(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	for name, costs := range adversarialCosts(rng) {
-		for _, p := range []int{1, 2, 4, 9} {
-			cov := newCoverage(len(costs))
-			ForBalanced(costs, p, cov.mark)
-			cov.checkExact(t, name)
-		}
-	}
-}
-
 func TestForOffsetsWorkerIsPartIndex(t *testing.T) {
 	offsets := []int{0, 0, 5, 5, 12, 20} // includes empty parts
-	var mu sync.Mutex
-	seen := map[int][2]int{}
-	ForOffsetsWorker(offsets, func(w, lo, hi int) {
-		mu.Lock()
-		seen[w] = [2]int{lo, hi}
-		mu.Unlock()
-	})
-	// Part k must run with worker id k; empty parts must be skipped.
-	want := map[int][2]int{1: {0, 5}, 3: {5, 12}, 4: {12, 20}}
-	if len(seen) != len(want) {
-		t.Fatalf("seen = %v, want %v", seen, want)
-	}
-	for k, r := range want {
-		if seen[k] != r {
-			t.Fatalf("part %d ran as %v, want %v", k, seen[k], r)
-		}
-	}
-}
-
-// TestForGuidedAdversarial is the ForGuided property test: every index
-// is visited exactly once under adversarial (n, p, minChunk) shapes,
-// including n < p, minChunk > n, and heavy skew in the per-index cost
-// (simulated by a variable-latency body).
-func TestForGuidedAdversarial(t *testing.T) {
-	cases := []struct{ n, p, minChunk int }{
-		{0, 4, 1}, {1, 8, 1}, {3, 8, 1}, {7, 3, 100},
-		{100, 7, 1}, {1000, 4, 13}, {17, 17, 2}, {64, 2, 0},
-	}
-	for _, c := range cases {
-		cov := newCoverage(c.n)
-		var spin atomic.Int64
-		ForGuided(c.n, c.p, c.minChunk, func(lo, hi int) {
-			// Skewed cost: early chunks burn more time, exercising the
-			// shrinking-grab redistribution.
-			for i := 0; i < (c.n-lo)*10; i++ {
-				spin.Add(1)
-			}
-			cov.mark(lo, hi)
+	// A pool with a worker per part dispatches on the pool; a smaller
+	// one falls back to spawning. Both must keep part k on worker id k.
+	for _, size := range []int{len(offsets) - 1, 2} {
+		pl := NewPool(size)
+		var mu sync.Mutex
+		seen := map[int][2]int{}
+		pl.ForOffsetsWorker(offsets, func(w, lo, hi int) {
+			mu.Lock()
+			seen[w] = [2]int{lo, hi}
+			mu.Unlock()
 		})
-		cov.checkExact(t, "ForGuided")
+		pl.Close()
+		// Part k must run with worker id k; empty parts must be skipped.
+		want := map[int][2]int{1: {0, 5}, 3: {5, 12}, 4: {12, 20}}
+		if len(seen) != len(want) {
+			t.Fatalf("pool size %d: seen = %v, want %v", size, seen, want)
+		}
+		for k, r := range want {
+			if seen[k] != r {
+				t.Fatalf("pool size %d: part %d ran as %v, want %v", size, k, seen[k], r)
+			}
+		}
 	}
 }

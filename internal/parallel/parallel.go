@@ -5,18 +5,16 @@
 // with OpenMP "parallel for" loops, using a dynamic schedule with a
 // chunk size of 1000 for the loops indexed by the (highly imbalanced)
 // nonzeros of the overlap matrix S, and a static schedule elsewhere.
-// This package reproduces those scheduling policies on top of
-// goroutines:
+// This package provides those constructs on top of goroutines:
 //
 //   - ForStatic partitions [0,n) into one contiguous block per worker,
 //     mirroring OpenMP's schedule(static).
 //   - ForDynamic hands out fixed-size chunks from an atomic counter,
-//     mirroring OpenMP's schedule(dynamic, chunk).
-//   - ForGuided hands out geometrically shrinking chunks, mirroring
-//     schedule(guided); it is used only by the ablation benchmarks.
-//   - ForBalanced / ForOffsets split the index space by cumulative
-//     cost (nnz) instead of index count, the balanced partitioning
-//     the solvers use for the power-law-skewed S sweeps.
+//     mirroring OpenMP's schedule(dynamic, chunk); the matchers use it.
+//   - ForOffsets splits the index space by precomputed boundaries,
+//     typically of near-equal cumulative cost (BalancedOffsets). The
+//     solvers use this nnz-balanced partitioning in place of the
+//     paper's dynamic schedule for the power-law-skewed S sweeps.
 //
 // All loop bodies receive index *ranges* ([lo,hi)) rather than single
 // indices so the per-index dispatch overhead is paid once per chunk,
@@ -243,115 +241,6 @@ func forDynamicWorkerSpawn(n, p, chunk int, body func(worker, lo, hi int)) (work
 	return p
 }
 
-// ForGuided runs body over [0, n) with geometrically shrinking chunks
-// (OpenMP schedule(guided)): each grab takes remaining/p indices, never
-// fewer than minChunk. Used by the scheduling-policy ablation.
-func ForGuided(n, p, minChunk int, body func(lo, hi int)) {
-	p = Threads(p)
-	if n <= 0 {
-		return
-	}
-	if minChunk <= 0 {
-		minChunk = 1
-	}
-	if p == 1 {
-		body(0, n)
-		return
-	}
-	if sp := acquireShared(p); sp != nil {
-		defer releaseShared()
-		sp.ForGuided(n, p, minChunk, body)
-		return
-	}
-	forGuidedSpawn(n, p, minChunk, body)
-}
-
-func forGuidedSpawn(n, p, minChunk int, body func(lo, hi int)) {
-	spawnRegionsCount.Add(1)
-	var mu sync.Mutex
-	next := 0
-	grab := func() (int, int) {
-		mu.Lock()
-		defer mu.Unlock()
-		if next >= n {
-			return n, n
-		}
-		remaining := n - next
-		size := remaining / p
-		if size < minChunk {
-			size = minChunk
-		}
-		if size > remaining {
-			size = remaining
-		}
-		lo := next
-		next += size
-		return lo, next
-	}
-	var pb panicBox
-	var wg sync.WaitGroup
-	wg.Add(p)
-	for t := 0; t < p; t++ {
-		go func() {
-			defer wg.Done()
-			defer pb.capture()
-			for {
-				lo, hi := grab()
-				if lo >= hi {
-					return
-				}
-				body(lo, hi)
-			}
-		}()
-	}
-	wg.Wait()
-	pb.rethrow()
-}
-
-// Schedule selects a loop scheduling policy. It is the Go analogue of
-// the omp_sched_t runtime schedule choice and is threaded through the
-// alignment options so the ablation benchmarks can flip policies
-// without touching kernel code.
-type Schedule int
-
-const (
-	// Dynamic hands out fixed-size chunks from an atomic counter. It
-	// is the zero value because it is the paper's default policy for
-	// the imbalanced S-indexed loops.
-	Dynamic Schedule = iota
-	// Static partitions the index space into one block per worker.
-	Static
-	// Guided hands out geometrically shrinking chunks.
-	Guided
-)
-
-// String returns the OpenMP-style name of the schedule.
-func (s Schedule) String() string {
-	switch s {
-	case Static:
-		return "static"
-	case Dynamic:
-		return "dynamic"
-	case Guided:
-		return "guided"
-	default:
-		return "unknown"
-	}
-}
-
-// For runs body over [0, n) under the given schedule with p workers
-// and the given chunk size (dynamic/guided only).
-func (s Schedule) For(n, p, chunk int, body func(lo, hi int)) {
-	switch s {
-	case Static:
-		ForStatic(n, p, body)
-	case Guided:
-		ForGuided(n, p, chunk, body)
-	default:
-		ForDynamic(n, p, chunk, body)
-	}
-}
-
 // Tasks runs the given task functions concurrently on at most p
 // workers and waits for all of them (the analogue of an OpenMP task
 // group, used for batched rounding where each task is one matching
@@ -397,50 +286,46 @@ func Tasks(p int, tasks []func(threads int)) {
 	pb.rethrow()
 }
 
-// The context-aware loop variants below mirror the plain constructs
-// but poll ctx between work grabs so a deadline or cancellation stops
-// the loop early. Granularity: ForDynamicCtx and ForGuidedCtx check
-// before every chunk grab, ForStaticCtx splits each worker's block
-// into sub-chunks and checks between them, and TasksCtx checks before
-// starting each task. A context that can never be cancelled (nil, or
-// Done() == nil such as context.Background()) delegates to the plain
-// construct with zero per-chunk overhead — this is what the
-// non-context solver entry points pass, so the hot paths are
-// unchanged. On cancellation the variants return ctx.Err(); already
-// started chunk bodies run to completion (bodies are never
-// interrupted mid-range), so the caller sees a loop that has covered
-// an unspecified subset of [0, n) and must discard or ignore the
-// partial result.
+// The context-aware variants (Pool.ForStaticCtx, Pool.ForOffsetsCtx,
+// TasksCtx, Pool.TasksCtx) mirror the plain constructs but poll ctx so
+// a deadline or cancellation stops the loop early: the loops split
+// each worker's block into sub-chunks and check between them, and the
+// task runners check before starting each task. A context that can
+// never be cancelled (nil, or Done() == nil such as
+// context.Background()) delegates to the plain construct with zero
+// per-chunk overhead — this is what the non-context solver entry
+// points pass, so the hot paths are unchanged. On cancellation the
+// variants return ctx.Err(); already started chunk bodies run to
+// completion (bodies are never interrupted mid-range), so the caller
+// sees a loop that has covered an unspecified subset of [0, n) and
+// must discard or ignore the partial result.
 
 // cancellable reports whether ctx can ever be cancelled.
 func cancellable(ctx context.Context) bool {
 	return ctx != nil && ctx.Done() != nil
 }
 
-// ForStaticCtx is ForStatic with cooperative cancellation. Each
-// worker's contiguous block is processed in sub-chunks of size chunk
-// (<= 0 selects a granularity of 8 sub-chunks per worker) with a
-// context poll between sub-chunks.
-func ForStaticCtx(ctx context.Context, n, p, chunk int, body func(lo, hi int)) error {
-	if !cancellable(ctx) {
-		ForStatic(n, p, body)
-		return nil
+// runChunked runs body over [lo, hi) in sub-chunks of size chunk (<= 0
+// selects 8 sub-chunks), polling done before each and returning once
+// it has fired.
+func runChunked(done <-chan struct{}, lo, hi, chunk int, body func(lo, hi int)) {
+	step := chunk
+	if step <= 0 {
+		step = (hi - lo + 7) / 8
 	}
-	if err := ctx.Err(); err != nil {
-		return err
+	if step < 1 {
+		step = 1
 	}
-	p = Threads(p)
-	if n <= 0 {
-		return nil
+	for lo < hi {
+		select {
+		case <-done:
+			return
+		default:
+		}
+		end := min(lo+step, hi)
+		body(lo, end)
+		lo = end
 	}
-	if p > n {
-		p = n
-	}
-	if sp := acquireShared(p); sp != nil {
-		defer releaseShared()
-		return sp.ForStaticCtx(ctx, n, p, chunk, body)
-	}
-	return forStaticCtxSpawn(ctx, n, p, chunk, body)
 }
 
 func forStaticCtxSpawn(ctx context.Context, n, p, chunk int, body func(lo, hi int)) error {
@@ -455,153 +340,12 @@ func forStaticCtxSpawn(ctx context.Context, n, p, chunk int, body func(lo, hi in
 		go func(lo, hi int) {
 			defer wg.Done()
 			defer pb.capture()
-			step := chunk
-			if step <= 0 {
-				step = (hi - lo + 7) / 8
-			}
-			if step < 1 {
-				step = 1
-			}
-			for lo < hi {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				end := lo + step
-				if end > hi {
-					end = hi
-				}
-				body(lo, end)
-				lo = end
-			}
+			runChunked(done, lo, hi, chunk, body)
 		}(lo, hi)
 	}
 	wg.Wait()
 	pb.rethrow()
 	return ctx.Err()
-}
-
-// ForDynamicCtx is ForDynamic with cooperative cancellation: workers
-// poll the context before grabbing each chunk.
-func ForDynamicCtx(ctx context.Context, n, p, chunk int, body func(lo, hi int)) error {
-	if !cancellable(ctx) {
-		ForDynamic(n, p, chunk, body)
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	p = Threads(p)
-	if n <= 0 {
-		return nil
-	}
-	if chunk <= 0 {
-		chunk = DefaultChunk
-	}
-	if mw := (n + chunk - 1) / chunk; p > mw {
-		p = mw
-	}
-	if sp := acquireShared(p); sp != nil {
-		defer releaseShared()
-		return sp.ForDynamicCtx(ctx, n, p, chunk, body)
-	}
-	return forDynamicCtxSpawn(ctx, n, p, chunk, body)
-}
-
-func forDynamicCtxSpawn(ctx context.Context, n, p, chunk int, body func(lo, hi int)) error {
-	spawnRegionsCount.Add(1)
-	step := chunk // single assignment: captured by value, keeps chunk off the heap
-	done := ctx.Done()
-	var pb panicBox
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(p)
-	for t := 0; t < p; t++ {
-		go func() {
-			defer wg.Done()
-			defer pb.capture()
-			for {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				lo := int(next.Add(int64(step))) - step
-				if lo >= n {
-					return
-				}
-				hi := lo + step
-				if hi > n {
-					hi = n
-				}
-				body(lo, hi)
-			}
-		}()
-	}
-	wg.Wait()
-	pb.rethrow()
-	return ctx.Err()
-}
-
-// ForGuidedCtx is ForGuided with cooperative cancellation: workers
-// poll the context before grabbing each (shrinking) chunk.
-func ForGuidedCtx(ctx context.Context, n, p, minChunk int, body func(lo, hi int)) error {
-	if !cancellable(ctx) {
-		ForGuided(n, p, minChunk, body)
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	p = Threads(p)
-	if n <= 0 {
-		return nil
-	}
-	if minChunk <= 0 {
-		minChunk = 1
-	}
-	if p == 1 {
-		body(0, n)
-		return ctx.Err()
-	}
-	if sp := acquireShared(p); sp != nil {
-		defer releaseShared()
-		return sp.ForGuidedCtx(ctx, n, p, minChunk, body)
-	}
-	return forGuidedCtxSpawn(ctx, n, p, minChunk, body)
-}
-
-func forGuidedCtxSpawn(ctx context.Context, n, p, minChunk int, body func(lo, hi int)) error {
-	done := ctx.Done()
-	cancelled := func() bool {
-		select {
-		case <-done:
-			return true
-		default:
-			return false
-		}
-	}
-	forGuidedSpawn(n, p, minChunk, func(lo, hi int) {
-		if cancelled() {
-			return
-		}
-		body(lo, hi)
-	})
-	return ctx.Err()
-}
-
-// ForCtx runs body over [0, n) under the given schedule with
-// cooperative cancellation; see the ctx loop variants above.
-func (s Schedule) ForCtx(ctx context.Context, n, p, chunk int, body func(lo, hi int)) error {
-	switch s {
-	case Static:
-		return ForStaticCtx(ctx, n, p, chunk, body)
-	case Guided:
-		return ForGuidedCtx(ctx, n, p, chunk, body)
-	default:
-		return ForDynamicCtx(ctx, n, p, chunk, body)
-	}
 }
 
 // TasksCtx is Tasks with cooperative cancellation: tasks not yet

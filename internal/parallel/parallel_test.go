@@ -94,32 +94,6 @@ func TestForDynamicWorkerScratchIsolation(t *testing.T) {
 	})
 }
 
-func TestForGuidedCoversAllIndices(t *testing.T) {
-	for _, n := range []int{0, 1, 17, 1024, 3333} {
-		for _, p := range []int{0, 1, 2, 5, 16} {
-			for _, minChunk := range []int{0, 1, 64} {
-				coverage(t, "ForGuided", n, func(body func(lo, hi int)) {
-					ForGuided(n, p, minChunk, body)
-				})
-			}
-		}
-	}
-}
-
-func TestScheduleDispatch(t *testing.T) {
-	for _, s := range []Schedule{Static, Dynamic, Guided} {
-		coverage(t, "Schedule."+s.String(), 257, func(body func(lo, hi int)) {
-			s.For(257, 4, 16, body)
-		})
-	}
-	if Static.String() != "static" || Dynamic.String() != "dynamic" || Guided.String() != "guided" {
-		t.Fatalf("unexpected schedule names: %v %v %v", Static, Dynamic, Guided)
-	}
-	if Schedule(42).String() != "unknown" {
-		t.Fatalf("expected unknown schedule name")
-	}
-}
-
 func TestThreads(t *testing.T) {
 	if got := Threads(7); got != 7 {
 		t.Fatalf("Threads(7) = %d", got)
@@ -276,13 +250,6 @@ func TestPanicPropagation(t *testing.T) {
 		},
 		"ForDynamicWorker": func() {
 			ForDynamicWorker(100, 4, 5, func(w, lo, hi int) {
-				if lo == 0 {
-					panic("boom")
-				}
-			})
-		},
-		"ForGuided": func() {
-			ForGuided(100, 4, 2, func(lo, hi int) {
 				if lo == 0 {
 					panic("boom")
 				}

@@ -55,8 +55,6 @@ type Pool struct {
 	partials []float64
 
 	next     atomic.Int64
-	gmu      sync.Mutex // guided-schedule grab lock
-	gnext    int
 	remain   atomic.Int32
 	hasPanic atomic.Bool
 	panicVal interface{}
@@ -67,7 +65,6 @@ const (
 	regionStatic = iota
 	regionDynamic
 	regionDynamicWorker
-	regionGuided
 	regionOffsets
 	regionOffsetsWorker
 	regionReduce
@@ -97,9 +94,6 @@ func NewPool(p int) *Pool {
 	poolWorkersGauge.Add(int64(p))
 	return pl
 }
-
-// Workers returns the number of workers the pool was created with.
-func (pl *Pool) Workers() int { return pl.size }
 
 // Close terminates the pool's workers. It blocks until any in-flight
 // region has finished; regions dispatched after Close fall back to the
@@ -142,46 +136,25 @@ func (pl *Pool) capturePanic() {
 func (pl *Pool) runWorker(t int) {
 	defer pl.capturePanic()
 	switch pl.mode {
-	case regionStatic:
-		lo := t * pl.n / pl.active
-		hi := (t + 1) * pl.n / pl.active
-		if lo >= hi {
-			return
+	case regionStatic, regionOffsets, regionOffsetsWorker:
+		var lo, hi int
+		if pl.mode == regionStatic {
+			lo, hi = t*pl.n/pl.active, (t+1)*pl.n/pl.active
+		} else {
+			lo, hi = pl.offsets[t], pl.offsets[t+1]
 		}
-		if pl.done == nil {
+		switch {
+		case lo >= hi:
+		case pl.mode == regionOffsetsWorker:
+			pl.bodyW(t, lo, hi)
+		case pl.done == nil:
 			pl.body(lo, hi)
-			return
-		}
-		step := pl.chunk
-		if step <= 0 {
-			step = (hi - lo + 7) / 8
-		}
-		if step < 1 {
-			step = 1
-		}
-		for lo < hi {
-			select {
-			case <-pl.done:
-				return
-			default:
-			}
-			end := lo + step
-			if end > hi {
-				end = hi
-			}
-			pl.body(lo, end)
-			lo = end
+		default:
+			runChunked(pl.done, lo, hi, pl.chunk, pl.body)
 		}
 	case regionDynamic, regionDynamicWorker:
 		step := pl.chunk
 		for {
-			if pl.done != nil {
-				select {
-				case <-pl.done:
-					return
-				default:
-				}
-			}
 			lo := int(pl.next.Add(int64(step))) - step
 			if lo >= pl.n {
 				return
@@ -195,55 +168,6 @@ func (pl *Pool) runWorker(t int) {
 			} else {
 				pl.body(lo, hi)
 			}
-		}
-	case regionGuided:
-		for {
-			if pl.done != nil {
-				select {
-				case <-pl.done:
-					return
-				default:
-				}
-			}
-			lo, hi := pl.grabGuided()
-			if lo >= hi {
-				return
-			}
-			pl.body(lo, hi)
-		}
-	case regionOffsets, regionOffsetsWorker:
-		lo := pl.offsets[t]
-		hi := pl.offsets[t+1]
-		if lo >= hi {
-			return
-		}
-		if pl.mode == regionOffsetsWorker {
-			pl.bodyW(t, lo, hi)
-			return
-		}
-		if pl.done == nil {
-			pl.body(lo, hi)
-			return
-		}
-		step := pl.chunk
-		if step <= 0 {
-			step = (hi - lo + 7) / 8
-		}
-		if step < 1 {
-			step = 1
-		}
-		for lo < hi {
-			select {
-			case <-pl.done:
-				return
-			default:
-			}
-			end := lo + step
-			if end > hi {
-				end = hi
-			}
-			pl.body(lo, end)
-			lo = end
 		}
 	case regionReduce:
 		lo := t * pl.n / pl.active
@@ -269,26 +193,6 @@ func (pl *Pool) runWorker(t int) {
 	}
 }
 
-func (pl *Pool) grabGuided() (int, int) {
-	pl.gmu.Lock()
-	defer pl.gmu.Unlock()
-	n := pl.n
-	if pl.gnext >= n {
-		return n, n
-	}
-	remaining := n - pl.gnext
-	size := remaining / pl.active
-	if size < pl.chunk {
-		size = pl.chunk
-	}
-	if size > remaining {
-		size = remaining
-	}
-	lo := pl.gnext
-	pl.gnext += size
-	return lo, pl.gnext
-}
-
 // tryAcquire takes the dispatch lock without blocking. It fails when
 // the pool is occupied (nested or concurrent dispatch) or closed; the
 // caller then uses the spawning fallback.
@@ -310,7 +214,6 @@ func (pl *Pool) dispatch(active int) {
 	pl.hasPanic.Store(false)
 	pl.panicVal = nil
 	pl.next.Store(0)
-	pl.gnext = 0
 	pl.active = active
 	pl.remain.Store(int32(active))
 	for t := 0; t < active; t++ {
@@ -422,37 +325,6 @@ func (pl *Pool) ForDynamic(n, p, chunk int, body func(lo, hi int)) {
 	pl.dispatch(p)
 }
 
-// ForDynamicCtx is ForDynamicCtx dispatched on the pool.
-func (pl *Pool) ForDynamicCtx(ctx context.Context, n, p, chunk int, body func(lo, hi int)) error {
-	if !cancellable(ctx) {
-		pl.ForDynamic(n, p, chunk, body)
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	p = pl.clamp(p)
-	if n <= 0 {
-		return nil
-	}
-	if chunk <= 0 {
-		chunk = DefaultChunk
-	}
-	if mw := (n + chunk - 1) / chunk; p > mw {
-		p = mw
-	}
-	if !pl.tryAcquire() {
-		return forDynamicCtxSpawn(ctx, n, p, chunk, body)
-	}
-	pl.mode = regionDynamic
-	pl.n = n
-	pl.chunk = chunk
-	pl.body = body
-	pl.done = ctx.Done()
-	pl.dispatch(p)
-	return ctx.Err()
-}
-
 // ForDynamicWorker is ForDynamicWorker dispatched on the pool. Worker
 // ids are in [0, workers) with workers == PlannedWorkers(n, p', chunk)
 // where p' is p clamped to the pool size.
@@ -481,89 +353,6 @@ func (pl *Pool) ForDynamicWorker(n, p, chunk int, body func(worker, lo, hi int))
 	pl.done = nil
 	pl.dispatch(p)
 	return p
-}
-
-// ForGuided is ForGuided dispatched on the pool.
-func (pl *Pool) ForGuided(n, p, minChunk int, body func(lo, hi int)) {
-	p = pl.clamp(p)
-	if n <= 0 {
-		return
-	}
-	if minChunk <= 0 {
-		minChunk = 1
-	}
-	if p == 1 {
-		body(0, n)
-		return
-	}
-	if !pl.tryAcquire() {
-		forGuidedSpawn(n, p, minChunk, body)
-		return
-	}
-	pl.mode = regionGuided
-	pl.n = n
-	pl.chunk = minChunk
-	pl.body = body
-	pl.done = nil
-	pl.dispatch(p)
-}
-
-// ForGuidedCtx is ForGuidedCtx dispatched on the pool.
-func (pl *Pool) ForGuidedCtx(ctx context.Context, n, p, minChunk int, body func(lo, hi int)) error {
-	if !cancellable(ctx) {
-		pl.ForGuided(n, p, minChunk, body)
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	p = pl.clamp(p)
-	if n <= 0 {
-		return nil
-	}
-	if minChunk <= 0 {
-		minChunk = 1
-	}
-	if p == 1 {
-		body(0, n)
-		return ctx.Err()
-	}
-	if !pl.tryAcquire() {
-		return forGuidedCtxSpawn(ctx, n, p, minChunk, body)
-	}
-	pl.mode = regionGuided
-	pl.n = n
-	pl.chunk = minChunk
-	pl.body = body
-	pl.done = ctx.Done()
-	pl.dispatch(p)
-	return ctx.Err()
-}
-
-// ForSched runs body under the given schedule on the pool; the pool
-// analogue of Schedule.For.
-func (pl *Pool) ForSched(s Schedule, n, p, chunk int, body func(lo, hi int)) {
-	switch s {
-	case Static:
-		pl.ForStatic(n, p, body)
-	case Guided:
-		pl.ForGuided(n, p, chunk, body)
-	default:
-		pl.ForDynamic(n, p, chunk, body)
-	}
-}
-
-// ForSchedCtx is ForSched with cooperative cancellation; the pool
-// analogue of Schedule.ForCtx.
-func (pl *Pool) ForSchedCtx(ctx context.Context, s Schedule, n, p, chunk int, body func(lo, hi int)) error {
-	switch s {
-	case Static:
-		return pl.ForStaticCtx(ctx, n, p, chunk, body)
-	case Guided:
-		return pl.ForGuidedCtx(ctx, n, p, chunk, body)
-	default:
-		return pl.ForDynamicCtx(ctx, n, p, chunk, body)
-	}
 }
 
 // ForOffsets runs body over the precomputed partition boundaries

@@ -47,10 +47,6 @@ func TestPoolConstructsCoverIndexSpace(t *testing.T) {
 		cov.checkExact(t, "ForDynamic")
 
 		cov = newCoverage(n)
-		pl.ForGuided(n, 4, 3, cov.mark)
-		cov.checkExact(t, "ForGuided")
-
-		cov = newCoverage(n)
 		workers := pl.ForDynamicWorker(n, 4, 7, func(w, lo, hi int) {
 			if w < 0 || w >= 4 {
 				t.Errorf("worker id %d out of range", w)
@@ -127,7 +123,7 @@ func TestPoolCtxCancellation(t *testing.T) {
 	defer pl.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	var seen atomic.Int64
-	err := pl.ForDynamicCtx(ctx, 100000, 4, 10, func(lo, hi int) {
+	err := pl.ForStaticCtx(ctx, 100000, 4, 10, func(lo, hi int) {
 		if seen.Add(int64(hi-lo)) > 500 {
 			cancel()
 		}

@@ -70,19 +70,6 @@ func TestFaultForDynamicWorkerPanicPropagates(t *testing.T) {
 	}
 }
 
-func TestFaultForGuidedPanicPropagates(t *testing.T) {
-	v := catchPanic(func() {
-		ForGuided(1000, 4, 1, func(lo, hi int) {
-			if lo <= 900 && 900 < hi {
-				panic("late chunk failed")
-			}
-		})
-	})
-	if v == nil {
-		t.Fatal("panic swallowed")
-	}
-}
-
 func TestFaultTasksPanicPropagates(t *testing.T) {
 	ran := make([]atomic.Bool, 3)
 	v := catchPanic(func() {
@@ -137,17 +124,21 @@ func TestFaultPanicThenReuse(t *testing.T) {
 	}
 }
 
+// ctxOffsets is the balanced-style partition the offsets ctx variants
+// run over in the tests below: four parts of [0, n).
+func ctxOffsets(n int) []int { return []int{0, n / 4, n / 2, 3 * n / 4, n} }
+
 func TestFaultCtxVariantsPanicPropagates(t *testing.T) {
-	ctx := context.Background()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	pl := NewPool(4)
+	defer pl.Close()
 	cases := map[string]func(){
 		"static": func() {
-			_ = ForStaticCtx(ctx, 100, 4, 0, func(lo, hi int) { panic("boom") })
+			_ = pl.ForStaticCtx(ctx, 100, 4, 0, func(lo, hi int) { panic("boom") })
 		},
-		"dynamic": func() {
-			_ = ForDynamicCtx(ctx, 100, 4, 1, func(lo, hi int) { panic("boom") })
-		},
-		"guided": func() {
-			_ = ForGuidedCtx(ctx, 100, 4, 1, func(lo, hi int) { panic("boom") })
+		"offsets": func() {
+			_ = pl.ForOffsetsCtx(ctx, ctxOffsets(100), 1, func(lo, hi int) { panic("boom") })
 		},
 		"tasks": func() {
 			_ = TasksCtx(ctx, 2, []func(threads int){func(threads int) { panic("boom") }})
@@ -178,25 +169,17 @@ func TestFaultCancellationStopsLoops(t *testing.T) {
 			t.Fatalf("%s: loop did not stop after cancel", name)
 		}
 	}
+	pl := NewPool(4)
+	defer pl.Close()
 	// Each body sleeps so the loop cannot finish 1e6 items before the
 	// cancel; completing within the 5s budget proves the poll works.
 	run("static", func(ctx context.Context) error {
-		return ForStaticCtx(ctx, 1_000_000, 4, 10, func(lo, hi int) {
+		return pl.ForStaticCtx(ctx, 1_000_000, 4, 10, func(lo, hi int) {
 			time.Sleep(100 * time.Microsecond)
 		})
 	})
-	run("dynamic", func(ctx context.Context) error {
-		return ForDynamicCtx(ctx, 1_000_000, 4, 10, func(lo, hi int) {
-			time.Sleep(100 * time.Microsecond)
-		})
-	})
-	run("guided", func(ctx context.Context) error {
-		return ForGuidedCtx(ctx, 1_000_000, 4, 1, func(lo, hi int) {
-			time.Sleep(100 * time.Microsecond)
-		})
-	})
-	run("schedule", func(ctx context.Context) error {
-		return Dynamic.ForCtx(ctx, 1_000_000, 4, 10, func(lo, hi int) {
+	run("offsets", func(ctx context.Context) error {
+		return pl.ForOffsetsCtx(ctx, ctxOffsets(1_000_000), 10, func(lo, hi int) {
 			time.Sleep(100 * time.Microsecond)
 		})
 	})
@@ -214,21 +197,20 @@ func TestFaultPreCancelledCtx(t *testing.T) {
 	cancel()
 	var n atomic.Int64
 	body := func(lo, hi int) { n.Add(int64(hi - lo)) }
-	if err := ForStaticCtx(ctx, 1000, 4, 0, body); err != context.Canceled {
+	pl := NewPool(4)
+	defer pl.Close()
+	if err := pl.ForStaticCtx(ctx, 1000, 4, 0, body); err != context.Canceled {
 		t.Fatalf("static: %v", err)
 	}
-	if err := ForDynamicCtx(ctx, 1000, 4, 10, body); err != context.Canceled {
-		t.Fatalf("dynamic: %v", err)
-	}
-	if err := ForGuidedCtx(ctx, 1000, 4, 1, body); err != context.Canceled {
-		t.Fatalf("guided: %v", err)
+	if err := pl.ForOffsetsCtx(ctx, ctxOffsets(1000), 10, body); err != context.Canceled {
+		t.Fatalf("offsets: %v", err)
 	}
 	if err := TasksCtx(ctx, 2, []func(threads int){func(threads int) { n.Add(1) }}); err != context.Canceled {
 		t.Fatalf("tasks: %v", err)
 	}
 	// A pre-cancelled context may let some chunks through (workers are
 	// racing the poll) but must not complete the full range.
-	if n.Load() >= 3000 {
+	if n.Load() >= 2000 {
 		t.Fatalf("pre-cancelled loops completed all work (%d items)", n.Load())
 	}
 }
@@ -252,22 +234,25 @@ func TestCtxVariantsCompleteWithoutCancel(t *testing.T) {
 			t.Fatalf("%s: sum = %d, want %d", name, sum.Load(), want)
 		}
 	}
+	pl := NewPool(4)
+	defer pl.Close()
 	check("static", func(body func(lo, hi int)) error {
-		return ForStaticCtx(ctx, 10000, 3, 0, body)
+		return pl.ForStaticCtx(ctx, 10000, 3, 0, body)
 	})
-	check("dynamic", func(body func(lo, hi int)) error {
-		return ForDynamicCtx(ctx, 10000, 3, 17, body)
+	check("offsets", func(body func(lo, hi int)) error {
+		return pl.ForOffsetsCtx(ctx, ctxOffsets(10000), 17, body)
 	})
-	check("guided", func(body func(lo, hi int)) error {
-		return ForGuidedCtx(ctx, 10000, 3, 4, body)
+	// A pool smaller than the partition falls back to spawning.
+	small := NewPool(2)
+	defer small.Close()
+	check("static-spawn", func(body func(lo, hi int)) error {
+		return small.ForStaticCtx(ctx, 10000, 3, 0, body)
 	})
-	for _, s := range []Schedule{Static, Dynamic, Guided} {
-		check("schedule-"+s.String(), func(body func(lo, hi int)) error {
-			return s.ForCtx(ctx, 10000, 3, 17, body)
-		})
-	}
+	check("offsets-spawn", func(body func(lo, hi int)) error {
+		return small.ForOffsetsCtx(ctx, ctxOffsets(10000), 17, body)
+	})
 	// Nil-done contexts delegate to the uncancellable fast path.
 	check("background-delegation", func(body func(lo, hi int)) error {
-		return ForDynamicCtx(context.Background(), 10000, 3, 17, body)
+		return pl.ForStaticCtx(context.Background(), 10000, 3, 17, body)
 	})
 }

@@ -39,7 +39,6 @@ import (
 	"netalignmc/internal/gen"
 	"netalignmc/internal/graph"
 	"netalignmc/internal/matching"
-	"netalignmc/internal/parallel"
 	"netalignmc/internal/problemio"
 	"netalignmc/internal/stats"
 )
@@ -270,17 +269,6 @@ type StepTimer = stats.StepTimer
 
 // NewStepTimer returns an empty step timer.
 func NewStepTimer() *StepTimer { return stats.NewStepTimer() }
-
-// Schedule selects the loop scheduling policy for the S-indexed
-// parallel loops (Dynamic is the paper's tuned default).
-type Schedule = parallel.Schedule
-
-// Scheduling policies.
-const (
-	ScheduleDynamic = parallel.Dynamic
-	ScheduleStatic  = parallel.Static
-	ScheduleGuided  = parallel.Guided
-)
 
 // SyntheticOptions parameterizes the paper's synthetic power-law
 // problems (Section VI-A).

@@ -108,17 +108,12 @@ func TestPublicAPIProblemIO(t *testing.T) {
 	}
 }
 
-func TestPublicAPITimerAndSchedule(t *testing.T) {
+func TestPublicAPITimer(t *testing.T) {
 	p := buildTinyProblem(t)
 	timer := netalignmc.NewStepTimer()
-	p.BPAlign(netalignmc.BPOptions{
-		Iterations: 3, Timer: timer, Sched: netalignmc.ScheduleStatic,
-	})
+	p.BPAlign(netalignmc.BPOptions{Iterations: 3, Timer: timer})
 	if timer.GrandTotal() <= 0 {
 		t.Fatal("timer recorded nothing")
-	}
-	if netalignmc.ScheduleDynamic.String() != "dynamic" {
-		t.Fatal("schedule constants wrong")
 	}
 }
 
