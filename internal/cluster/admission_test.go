@@ -1,0 +1,95 @@
+package cluster
+
+import (
+	"encoding/json"
+	"errors"
+	"net/http"
+	"testing"
+
+	"netalignmc/internal/server"
+)
+
+// badSpecs are malformed problem sources, each with the error message
+// the node returned for it before admission stopped building S. The
+// messages are pinned so admission keeps rejecting exactly the same
+// specs for exactly the same reasons.
+var badSpecs = []struct {
+	name string
+	spec server.Spec
+	msg  string
+}{
+	{
+		name: "text L dims",
+		spec: server.Spec{Problem: "netalign 1\ngraph A 2 1\n0 1\ngraph B 2 1\n0 1\ngraph L 3 2 1\n0 0 1\n"},
+		msg:  "server: bad job spec: core: L is 3x2 but |V_A|=2, |V_B|=2",
+	},
+	{
+		name: "smat L dims",
+		spec: server.Spec{A: "2 2 2\n0 1 1\n1 0 1\n", B: "2 2 0\n", L: "3 2 1\n2 1 1\n"},
+		msg:  "server: bad job spec: core: L is 3x2 but |V_A|=2, |V_B|=2",
+	},
+	{
+		name: "mtx L dims",
+		spec: server.Spec{
+			Format: "mtx",
+			A:      "%%MatrixMarket matrix coordinate pattern symmetric\n2 2 1\n2 1\n",
+			B:      "%%MatrixMarket matrix coordinate pattern symmetric\n2 2 0\n",
+			L:      "%%MatrixMarket matrix coordinate real general\n2 3 1\n1 3 1\n",
+		},
+		msg: "server: bad job spec: core: L is 2x3 but |V_A|=2, |V_B|=2",
+	},
+	{
+		name: "text negative alpha",
+		spec: server.Spec{Problem: "netalign 1\nalpha -1\ngraph A 1 0\ngraph B 1 0\ngraph L 1 1 1\n0 0 1\n"},
+		msg:  "server: bad job spec: core: negative objective weights alpha=-1 beta=1",
+	},
+	{
+		name: "text bad edge",
+		spec: server.Spec{Problem: "netalign 1\ngraph A 2 1\n0 5\ngraph B 2 0\ngraph L 2 2 0\n"},
+		msg:  "server: bad job spec: problemio: line 3: bad edge",
+	},
+	{
+		name: "text NaN weight",
+		spec: server.Spec{Problem: "netalign 1\ngraph A 2 0\ngraph B 2 0\ngraph L 2 2 1\n0 0 NaN\n"},
+		msg:  "server: bad job spec: problemio: line 5: bad L edge",
+	},
+	{
+		name: "text missing section",
+		spec: server.Spec{Problem: "netalign 1\ngraph A 2 0\ngraph L 2 2 1\n0 0 1\n"},
+		msg:  "server: bad job spec: problemio: missing graph sections (A:true B:false L:true)",
+	},
+}
+
+// TestAdmissionRejectsBadSpecs: every malformed spec is an ErrBadSpec
+// at the node, and the router — which cannot key the spec and routes
+// it by body hash — relays the owner's 400 with the bad_request code
+// and the node's message.
+func TestAdmissionRejectsBadSpecs(t *testing.T) {
+	a := startNode(t, server.Config{CacheBytes: 16 << 20})
+	b := startNode(t, server.Config{CacheBytes: 16 << 20})
+	_, rt := startRouter(t, a, b)
+	for _, tc := range badSpecs {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := a.mgr.Submit(tc.spec)
+			if !errors.Is(err, server.ErrBadSpec) {
+				t.Fatalf("Manager.Submit = %v, want ErrBadSpec", err)
+			}
+			if err.Error() != tc.msg {
+				t.Errorf("Manager.Submit message %q, want %q", err, tc.msg)
+			}
+			resp, body := postSpec(t, rt.URL, tc.spec)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("router status %d, want 400: %s", resp.StatusCode, body)
+			}
+			var env struct {
+				Error struct{ Code, Message string }
+			}
+			if err := json.Unmarshal(body, &env); err != nil {
+				t.Fatalf("router body %s: %v", body, err)
+			}
+			if env.Error.Code != "bad_request" || env.Error.Message != tc.msg {
+				t.Errorf("router error {%s, %q}, want {bad_request, %q}", env.Error.Code, env.Error.Message, tc.msg)
+			}
+		})
+	}
+}

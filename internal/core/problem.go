@@ -49,15 +49,27 @@ type Problem struct {
 	reorderViews map[ReorderMode]*reorderView
 }
 
-// NewProblem assembles a Problem and builds S. Construction is
-// parallelized over the edges of L (threads <= 0 means GOMAXPROCS).
-func NewProblem(a, b *graph.Graph, l *bipartite.Graph, alpha, beta float64, threads int) (*Problem, error) {
+// CheckInputs reports whether (A, B, L, α, β) form a valid problem:
+// L must be |V_A|-by-|V_B| and both objective weights non-negative.
+// NewProblem runs exactly these checks before building S, so a caller
+// that only needs to validate or serialize a problem can reject the
+// same inputs without paying for S.
+func CheckInputs(a, b *graph.Graph, l *bipartite.Graph, alpha, beta float64) error {
 	if l.NA != a.NumVertices() || l.NB != b.NumVertices() {
-		return nil, fmt.Errorf("core: L is %dx%d but |V_A|=%d, |V_B|=%d",
+		return fmt.Errorf("core: L is %dx%d but |V_A|=%d, |V_B|=%d",
 			l.NA, l.NB, a.NumVertices(), b.NumVertices())
 	}
 	if alpha < 0 || beta < 0 {
-		return nil, fmt.Errorf("core: negative objective weights alpha=%g beta=%g", alpha, beta)
+		return fmt.Errorf("core: negative objective weights alpha=%g beta=%g", alpha, beta)
+	}
+	return nil
+}
+
+// NewProblem assembles a Problem and builds S. Construction is
+// parallelized over the edges of L (threads <= 0 means GOMAXPROCS).
+func NewProblem(a, b *graph.Graph, l *bipartite.Graph, alpha, beta float64, threads int) (*Problem, error) {
+	if err := CheckInputs(a, b, l, alpha, beta); err != nil {
+		return nil, err
 	}
 	p := &Problem{A: a, B: b, L: l, Alpha: alpha, Beta: beta}
 	if err := p.buildS(threads); err != nil {

@@ -83,19 +83,29 @@ func ReadLSMAT(r io.Reader) (*bipartite.Graph, error) {
 // L) plus objective weights, the layout of the original release's
 // data files.
 func ReadSMATProblem(aR, bR, lR io.Reader, alpha, beta float64, threads int) (*core.Problem, error) {
+	parts, err := ReadSMATParts(aR, bR, lR, alpha, beta)
+	if err != nil {
+		return nil, err
+	}
+	return parts.Problem(threads)
+}
+
+// ReadSMATParts reads the three SMAT files of ReadSMATProblem without
+// building S.
+func ReadSMATParts(aR, bR, lR io.Reader, alpha, beta float64) (Parts, error) {
 	a, err := ReadGraphSMAT(aR)
 	if err != nil {
-		return nil, fmt.Errorf("problemio: graph A: %w", err)
+		return Parts{}, fmt.Errorf("problemio: graph A: %w", err)
 	}
 	b, err := ReadGraphSMAT(bR)
 	if err != nil {
-		return nil, fmt.Errorf("problemio: graph B: %w", err)
+		return Parts{}, fmt.Errorf("problemio: graph B: %w", err)
 	}
 	l, err := ReadLSMAT(lR)
 	if err != nil {
-		return nil, fmt.Errorf("problemio: graph L: %w", err)
+		return Parts{}, fmt.Errorf("problemio: graph L: %w", err)
 	}
-	return core.NewProblem(a, b, l, alpha, beta, threads)
+	return Parts{A: a, B: b, L: l, Alpha: alpha, Beta: beta}, nil
 }
 
 // WriteMatching writes an alignment as one "a b" pair per line

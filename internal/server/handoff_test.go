@@ -456,3 +456,68 @@ func TestHandoffTombstoneWriteFailureStaysQueued(t *testing.T) {
 		t.Fatalf("job %s spool state = %s, want queued", jQueued.ID, meta.State)
 	}
 }
+
+// TestDrainCancelsPoppedJob is the regression test for the window
+// between a worker popping a job and run marking it running: a
+// Shutdown whose running-job scan lands there sees the job neither
+// queued nor running. The job must still be cancelled and parked
+// queued for the next startup, instead of making the drain wait out
+// the whole solve.
+func TestDrainCancelsPoppedJob(t *testing.T) {
+	mgr, err := NewManager(Config{Spool: t.TempDir(), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	popped := make(chan struct{})
+	release := make(chan struct{})
+	releaseWorker := sync.OnceFunc(func() { close(release) })
+	mgr.betweenPopAndRun = func(*Job) {
+		close(popped)
+		<-release
+	}
+	j, err := mgr.Submit(longSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		// On failure the run outlives the drain: stop it and the
+		// workers before the spool directory is removed.
+		releaseWorker()
+		j.mu.Lock()
+		cancel := j.cancel
+		j.mu.Unlock()
+		if cancel != nil {
+			cancel()
+		}
+		ctx, stop := context.WithTimeout(context.Background(), 10*time.Second)
+		defer stop()
+		_ = mgr.Shutdown(ctx)
+		mgr.wg.Wait()
+	})
+	select {
+	case <-popped:
+	case <-time.After(10 * time.Second):
+		t.Fatal("worker never popped the job")
+	}
+	drained := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		drained <- mgr.Shutdown(ctx)
+	}()
+	// Shutdown sets closed and scans for running jobs in one m.mu
+	// section, so once closed is visible under m.mu the scan is over.
+	for closed := false; !closed; {
+		mgr.mu.Lock()
+		closed = mgr.closed
+		mgr.mu.Unlock()
+		time.Sleep(time.Millisecond)
+	}
+	releaseWorker()
+	if err := <-drained; err != nil {
+		t.Fatalf("drain: %v (the popped job was never cancelled)", err)
+	}
+	if st := j.Status(); st.State != StateQueued || st.Resumes != 1 {
+		t.Fatalf("popped job is %s with %d resumes, want queued with 1", st.State, st.Resumes)
+	}
+}

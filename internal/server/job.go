@@ -336,69 +336,122 @@ func (s *Spec) cacheFingerprint() (string, bool) {
 	return opts.CacheFingerprint()
 }
 
-// CacheKey materializes the spec's problem and derives its content
-// address: SHA-256 over the canonical problem bytes (exactly what the
-// spool records as problem.txt) plus the output-affecting option
+// CacheKey derives the spec's content address: SHA-256 over the
+// canonical problem bytes (exactly what the spool records as
+// problem.txt, see canonicalProblem) plus the output-affecting option
 // fingerprint. The result cache keys on it, and the cluster router
 // shards on it, so identical submissions — routed anywhere — always
 // resolve to the same address. The canonical bytes are returned too.
-// threads only bounds problem-construction parallelism; it cannot
+// threads only bounds a generator's problem construction; it cannot
 // affect the bytes or the key.
 func (s *Spec) CacheKey(threads int) (cache.Key, []byte, error) {
 	if err := s.Validate(); err != nil {
 		return cache.Key{}, nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}
-	p, err := s.BuildProblem(threads)
+	pb, err := s.canonicalProblem(threads)
 	if err != nil {
-		return cache.Key{}, nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
-	}
-	var buf bytes.Buffer
-	if err := problemio.Write(&buf, p); err != nil {
-		return cache.Key{}, nil, fmt.Errorf("server: canonicalize problem: %w", err)
+		return cache.Key{}, nil, err
 	}
 	fp, ok := s.cacheFingerprint()
 	if !ok {
 		return cache.Key{}, nil, fmt.Errorf("%w: unparsable matcher spec", ErrBadSpec)
 	}
-	return cache.KeyFor(buf.Bytes(), fp), buf.Bytes(), nil
+	return cache.KeyFor(pb, fp), pb, nil
 }
 
-// BuildProblem materializes the spec's problem source. threads bounds
-// the parallelism of S construction.
+// canonicalProblem decodes and checks the spec's problem source and
+// returns its canonical bytes: the problemio text the spool records as
+// problem.txt and the cache key hashes. It is the one canonicalization
+// both the router (CacheKey) and the node (Manager.Submit) run, so the
+// two can never disagree on a key. Inline and uploaded sources are
+// never turned into a full core.Problem: S is built only when a worker
+// loads problem.txt to run the job. A generator spec is built, because
+// its problem only exists that way. Decode and check failures wrap
+// ErrBadSpec; they are exactly the failures of BuildProblem.
+func (s *Spec) canonicalProblem(threads int) ([]byte, error) {
+	var (
+		parts problemio.Parts
+		err   error
+	)
+	if s.isGenerated() {
+		var p *core.Problem
+		if p, err = s.generate(threads); err == nil {
+			parts = problemio.Parts{A: p.A, B: p.B, L: p.L, Alpha: p.Alpha, Beta: p.Beta}
+		}
+	} else if parts, err = s.sourceParts(); err == nil {
+		err = core.CheckInputs(parts.A, parts.B, parts.L, parts.Alpha, parts.Beta)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
+	}
+	var buf bytes.Buffer
+	if err := problemio.WriteParts(&buf, parts); err != nil {
+		return nil, fmt.Errorf("server: canonicalize problem: %w", err)
+	}
+	return buf.Bytes(), nil
+}
+
+// BuildProblem materializes the spec's problem source, S included.
+// threads bounds the parallelism of S construction.
 func (s *Spec) BuildProblem(threads int) (*core.Problem, error) {
-	alpha, beta := s.Alpha, s.Beta
-	if alpha == 0 && beta == 0 {
-		alpha, beta = 1, 2
+	if s.isGenerated() {
+		return s.generate(threads)
 	}
-	switch {
-	case s.Problem != "":
-		return problemio.Read(strings.NewReader(s.Problem), threads)
-	case s.Generator != nil:
-		g := s.Generator
-		return cli.Generate(cli.GenerateOptions{
-			Type: g.Type, N: g.N, DBar: g.DBar, Perturb: g.Perturb,
-			Alpha: alpha, Beta: beta, Scale: g.Scale, Seed: g.Seed,
-			Threads: threads,
-		}, nil)
-	case s.Format == "mtx":
-		a, err := problemio.ReadGraphMTX(strings.NewReader(s.A))
-		if err != nil {
-			return nil, fmt.Errorf("graph a: %w", err)
-		}
-		b, err := problemio.ReadGraphMTX(strings.NewReader(s.B))
-		if err != nil {
-			return nil, fmt.Errorf("graph b: %w", err)
-		}
-		l, err := problemio.ReadLMTX(strings.NewReader(s.L))
-		if err != nil {
-			return nil, fmt.Errorf("graph l: %w", err)
-		}
-		return core.NewProblem(a, b, l, alpha, beta, threads)
-	default: // smat
-		return problemio.ReadSMATProblem(
+	parts, err := s.sourceParts()
+	if err != nil {
+		return nil, err
+	}
+	return parts.Problem(threads)
+}
+
+// isGenerated reports whether the problem comes from the generator
+// (an inline problem takes precedence, as in the source switch).
+func (s *Spec) isGenerated() bool { return s.Problem == "" && s.Generator != nil }
+
+// weights returns the objective weights for generated and uploaded
+// problems: both zero selects the paper's α=1, β=2.
+func (s *Spec) weights() (alpha, beta float64) {
+	if s.Alpha == 0 && s.Beta == 0 {
+		return 1, 2
+	}
+	return s.Alpha, s.Beta
+}
+
+func (s *Spec) generate(threads int) (*core.Problem, error) {
+	g := s.Generator
+	alpha, beta := s.weights()
+	return cli.Generate(cli.GenerateOptions{
+		Type: g.Type, N: g.N, DBar: g.DBar, Perturb: g.Perturb,
+		Alpha: alpha, Beta: beta, Scale: g.Scale, Seed: g.Seed,
+		Threads: threads,
+	}, nil)
+}
+
+// sourceParts decodes an inline (netalign text) or uploaded (SMAT or
+// MTX) problem source without building S or checking the parts.
+func (s *Spec) sourceParts() (problemio.Parts, error) {
+	if s.Problem != "" {
+		return problemio.ReadParts(strings.NewReader(s.Problem))
+	}
+	alpha, beta := s.weights()
+	if s.Format != "mtx" {
+		return problemio.ReadSMATParts(
 			strings.NewReader(s.A), strings.NewReader(s.B), strings.NewReader(s.L),
-			alpha, beta, threads)
+			alpha, beta)
 	}
+	a, err := problemio.ReadGraphMTX(strings.NewReader(s.A))
+	if err != nil {
+		return problemio.Parts{}, fmt.Errorf("graph a: %w", err)
+	}
+	b, err := problemio.ReadGraphMTX(strings.NewReader(s.B))
+	if err != nil {
+		return problemio.Parts{}, fmt.Errorf("graph b: %w", err)
+	}
+	l, err := problemio.ReadLMTX(strings.NewReader(s.L))
+	if err != nil {
+		return problemio.Parts{}, fmt.Errorf("graph l: %w", err)
+	}
+	return problemio.Parts{A: a, B: b, L: l, Alpha: alpha, Beta: beta}, nil
 }
 
 // Meta is the durable job record persisted as job.json in the spool;

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -250,11 +249,11 @@ type Job struct {
 	// incarnation last started the job. stalled marks a run cancelled
 	// by the watchdog; retryTimer is the pending backoff timer while a
 	// retry waits to re-enqueue.
-	attempts   int
-	crashRuns  int
+	attempts    int
+	crashRuns   int
 	incarnation int64
-	stalled    bool
-	retryTimer *time.Timer
+	stalled     bool
+	retryTimer  *time.Timer
 	// preempt marks a run cancelled to yield its worker slot to an
 	// interactive job; preemptions counts how many times that happened
 	// (persisted). enqueuedAt is the last scheduler-queue entry time,
@@ -408,6 +407,11 @@ type Manager struct {
 	wg       sync.WaitGroup
 
 	counters Counters
+
+	// betweenPopAndRun, when non-nil, runs in a worker after it pops a
+	// job and releases m.mu but before run marks the job running. It
+	// is nil in production; tests use it to hold a job in that window.
+	betweenPopAndRun func(*Job)
 }
 
 // NewManager opens the spool, recovers interrupted jobs (any job
@@ -558,15 +562,17 @@ func (m *Manager) recover() error {
 	return nil
 }
 
-// Submit validates the spec, materializes and canonicalizes the
-// problem into the spool, and enqueues the job. With the result cache
-// enabled, a submission whose (problem, options) key hits the cache
-// returns an already-completed job without solving, and one identical
-// to a queued/running job coalesces onto it as a follower (one
-// execution, two job ids, byte-identical results). Submit fails with
-// ErrQueueFull when the queue is at its depth limit and ErrDraining
-// during shutdown; cache hits and coalesced joins consume no queue
-// slot and are admitted even at the depth limit.
+// Submit validates the spec, canonicalizes its problem into the spool
+// (Spec.canonicalProblem, the function the router's CacheKey runs; S
+// is not built until a worker loads problem.txt), and enqueues the
+// job. With the result cache enabled, a submission whose (problem,
+// options) key hits the cache returns an already-completed job
+// without solving, and one identical to a queued/running job
+// coalesces onto it as a follower (one execution, two job ids,
+// byte-identical results). Submit fails with ErrQueueFull when the
+// queue is at its depth limit and ErrDraining during shutdown; cache
+// hits and coalesced joins consume no queue slot and are admitted
+// even at the depth limit.
 func (m *Manager) Submit(spec Spec) (*Job, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
@@ -575,9 +581,11 @@ func (m *Manager) Submit(spec Spec) (*Job, error) {
 	if threads == 0 {
 		threads = m.cfg.Threads
 	}
-	p, err := spec.BuildProblem(threads)
+	// The spool write and the cache key use the same canonical bytes,
+	// so they can never disagree.
+	pb, err := spec.canonicalProblem(threads)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
+		return nil, err
 	}
 	if m.draining.Load() {
 		return nil, ErrDraining
@@ -594,13 +602,6 @@ func (m *Manager) Submit(spec Spec) (*Job, error) {
 		m.counters.RefusedDisk.Add(1)
 		return nil, ErrDiskPressure
 	}
-	// Serialize the problem once: the spool write and the cache key use
-	// the same bytes, so they can never disagree.
-	var buf bytes.Buffer
-	if err := problemio.Write(&buf, p); err != nil {
-		return nil, fmt.Errorf("server: canonicalize problem: %w", err)
-	}
-	pb := buf.Bytes()
 	var key cache.Key
 	cacheable := false
 	if m.cache != nil && spec.TimeoutSec == 0 {
@@ -686,7 +687,7 @@ func (m *Manager) Submit(spec Spec) (*Job, error) {
 	}
 	j := &Job{
 		ID: id, Spec: spec, state: StateQueued,
-		created: time.Now(),
+		created:  time.Now(),
 		cacheKey: key, hasKey: cacheable,
 	}
 	j.events.Store(newBroker())
@@ -1013,6 +1014,9 @@ func (m *Manager) worker() {
 		m.mu.Unlock()
 		if j == nil {
 			continue
+		}
+		if h := m.betweenPopAndRun; h != nil {
+			h(j)
 		}
 		if expired, waited := j.queueDeadlineExpired(now); expired {
 			// The job's queue-wait deadline passed before a worker was
@@ -1433,6 +1437,14 @@ func (m *Manager) run(j *Job) {
 	// Record which daemon incarnation runs this attempt: the crash-loop
 	// detector at the next startup compares it against its own number.
 	j.incarnation = m.incarnation
+	// The worker released m.mu after popping this job, so a Shutdown
+	// in between finds it neither queued nor running and does not
+	// cancel it. Shutdown stores draining before it scans for running
+	// jobs under each j.mu: either its scan sees this job running and
+	// cancels it, or this load sees the flag.
+	if m.draining.Load() {
+		cancel()
+	}
 	meta := j.metaLocked()
 	j.mu.Unlock()
 	defer stop()
@@ -1801,24 +1813,24 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 
 // Metrics is a point-in-time snapshot for /metrics and /debug/vars.
 type Metrics struct {
-	UptimeSeconds float64            `json:"uptimeSeconds"`
-	QueueDepth    int                `json:"queueDepth"`
-	Running       int                `json:"running"`
-	Submitted     int64              `json:"submitted"`
-	Resumed       int64              `json:"resumed"`
-	Interrupted   int64              `json:"interrupted"`
-	Rejected      int64              `json:"rejected"`
-	Completed     int64              `json:"completed"`
-	Failed        int64              `json:"failed"`
-	Cancelled     int64              `json:"cancelled"`
-	Numerics      int64              `json:"numerics"`
-	Coalesced     int64              `json:"coalesced"`
-	Retried       int64              `json:"retried"`
-	Quarantined   int64              `json:"quarantined"`
-	Requeued      int64              `json:"requeued"`
-	Stalled       int64              `json:"stalled"`
-	ShedMemory    int64              `json:"shedMemory"`
-	RefusedDisk   int64              `json:"refusedDisk"`
+	UptimeSeconds float64 `json:"uptimeSeconds"`
+	QueueDepth    int     `json:"queueDepth"`
+	Running       int     `json:"running"`
+	Submitted     int64   `json:"submitted"`
+	Resumed       int64   `json:"resumed"`
+	Interrupted   int64   `json:"interrupted"`
+	Rejected      int64   `json:"rejected"`
+	Completed     int64   `json:"completed"`
+	Failed        int64   `json:"failed"`
+	Cancelled     int64   `json:"cancelled"`
+	Numerics      int64   `json:"numerics"`
+	Coalesced     int64   `json:"coalesced"`
+	Retried       int64   `json:"retried"`
+	Quarantined   int64   `json:"quarantined"`
+	Requeued      int64   `json:"requeued"`
+	Stalled       int64   `json:"stalled"`
+	ShedMemory    int64   `json:"shedMemory"`
+	RefusedDisk   int64   `json:"refusedDisk"`
 	// Preempted counts batch runs checkpoint-preempted for interactive
 	// jobs; ShedQuota counts submissions refused by per-tenant quotas;
 	// Expired counts jobs failed because their queue deadline passed
@@ -1852,18 +1864,18 @@ type Metrics struct {
 	// PeerFillEnabled marks a node running with a cluster peer filler;
 	// PeerFills counts submissions admitted from a peer's cache, and
 	// PeerFill carries the filler's own probe counters.
-	PeerFillEnabled bool          `json:"peerFillEnabled,omitempty"`
-	PeerFills       int64         `json:"peerFills,omitempty"`
-	PeerFill        PeerFillStats `json:"peerFill"`
-	CacheEnabled  bool               `json:"cacheEnabled"`
-	CacheHits     int64              `json:"cacheHits"`
-	CacheDiskHits int64              `json:"cacheDiskHits"`
-	CacheMisses   int64              `json:"cacheMisses"`
-	CacheEvicted  int64              `json:"cacheEvicted"`
-	CacheCorrupt  int64              `json:"cacheCorrupt"`
-	CacheBytes    int64              `json:"cacheBytes"`
-	CacheEntries  int                `json:"cacheEntries"`
-	StepSeconds   map[string]float64 `json:"stepSeconds"`
+	PeerFillEnabled bool               `json:"peerFillEnabled,omitempty"`
+	PeerFills       int64              `json:"peerFills,omitempty"`
+	PeerFill        PeerFillStats      `json:"peerFill"`
+	CacheEnabled    bool               `json:"cacheEnabled"`
+	CacheHits       int64              `json:"cacheHits"`
+	CacheDiskHits   int64              `json:"cacheDiskHits"`
+	CacheMisses     int64              `json:"cacheMisses"`
+	CacheEvicted    int64              `json:"cacheEvicted"`
+	CacheCorrupt    int64              `json:"cacheCorrupt"`
+	CacheBytes      int64              `json:"cacheBytes"`
+	CacheEntries    int                `json:"cacheEntries"`
+	StepSeconds     map[string]float64 `json:"stepSeconds"`
 }
 
 // Snapshot collects the current metrics.
@@ -1895,39 +1907,39 @@ func (m *Manager) Snapshot() Metrics {
 		steps[step] = d.Seconds()
 	}
 	out := Metrics{
-		UptimeSeconds: time.Since(m.start).Seconds(),
-		QueueDepth:    depth,
-		Running:       running,
-		Submitted:     m.counters.Submitted.Load(),
-		Resumed:       m.counters.Resumed.Load(),
-		Interrupted:   m.counters.Interrupted.Load(),
-		Rejected:      m.counters.Rejected.Load(),
-		Completed:     m.counters.Completed.Load(),
-		Failed:        m.counters.Failed.Load(),
-		Cancelled:     m.counters.Cancelled.Load(),
-		Numerics:      m.counters.Numerics.Load(),
-		Coalesced:     m.counters.Coalesced.Load(),
-		Retried:       m.counters.Retried.Load(),
-		Quarantined:   m.counters.Quarantined.Load(),
-		Requeued:      m.counters.Requeued.Load(),
-		Stalled:       m.counters.Stalled.Load(),
-		ShedMemory:    m.counters.ShedMemory.Load(),
-		RefusedDisk:   m.counters.RefusedDisk.Load(),
-		Preempted:     m.counters.Preempted.Load(),
-		ShedQuota:     m.counters.ShedQuota.Load(),
-		Expired:       m.counters.Expired.Load(),
+		UptimeSeconds:   time.Since(m.start).Seconds(),
+		QueueDepth:      depth,
+		Running:         running,
+		Submitted:       m.counters.Submitted.Load(),
+		Resumed:         m.counters.Resumed.Load(),
+		Interrupted:     m.counters.Interrupted.Load(),
+		Rejected:        m.counters.Rejected.Load(),
+		Completed:       m.counters.Completed.Load(),
+		Failed:          m.counters.Failed.Load(),
+		Cancelled:       m.counters.Cancelled.Load(),
+		Numerics:        m.counters.Numerics.Load(),
+		Coalesced:       m.counters.Coalesced.Load(),
+		Retried:         m.counters.Retried.Load(),
+		Quarantined:     m.counters.Quarantined.Load(),
+		Requeued:        m.counters.Requeued.Load(),
+		Stalled:         m.counters.Stalled.Load(),
+		ShedMemory:      m.counters.ShedMemory.Load(),
+		RefusedDisk:     m.counters.RefusedDisk.Load(),
+		Preempted:       m.counters.Preempted.Load(),
+		ShedQuota:       m.counters.ShedQuota.Load(),
+		Expired:         m.counters.Expired.Load(),
 		HandoffSent:     m.counters.HandoffSent.Load(),
 		HandoffReceived: m.counters.HandoffReceived.Load(),
 		HandoffFailed:   m.counters.HandoffFailed.Load(),
-		Tenants:       tenants,
-		QuarantinedNow: quarantined,
-		DiskFreeBytes: m.pressure.diskFreeBytes.Load(),
-		RSSBytes:      m.pressure.rssBytes.Load(),
-		DiskPressure:  int(m.pressure.diskLevel.Load()),
-		MemPressure:   m.pressure.memShedding(),
-		RetryAfterSec: m.pressure.retryAfter(),
-		PeerFills:     m.counters.PeerFills.Load(),
-		StepSeconds:   steps,
+		Tenants:         tenants,
+		QuarantinedNow:  quarantined,
+		DiskFreeBytes:   m.pressure.diskFreeBytes.Load(),
+		RSSBytes:        m.pressure.rssBytes.Load(),
+		DiskPressure:    int(m.pressure.diskLevel.Load()),
+		MemPressure:     m.pressure.memShedding(),
+		RetryAfterSec:   m.pressure.retryAfter(),
+		PeerFills:       m.counters.PeerFills.Load(),
+		StepSeconds:     steps,
 	}
 	if m.cfg.PeerFiller != nil {
 		out.PeerFillEnabled = true

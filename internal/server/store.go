@@ -35,10 +35,10 @@ func init() {
 // subdirectory named by its id:
 //
 //	<spool>/<id>/job.json        — Meta (spec + lifecycle state)
-//	<spool>/<id>/problem.txt     — the problem, canonicalized through
-//	                               problemio.Write at submit time so
-//	                               every (re)run solves byte-identical
-//	                               input
+//	<spool>/<id>/problem.txt     — the problem, canonicalized at
+//	                               submit time (Spec.canonicalProblem)
+//	                               so every (re)run solves
+//	                               byte-identical input
 //	<spool>/<id>/checkpoint.ckpt — latest solver checkpoint (atomic)
 //	<spool>/<id>/result.json     — final core.ResultJSON
 //
