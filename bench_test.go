@@ -270,26 +270,6 @@ func BenchmarkAblationMatcherInit(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationOthermaxTasks measures the future-work task-
-// parallel othermax reorganization.
-func BenchmarkAblationOthermaxTasks(b *testing.B) {
-	p := ablationProblem(b)
-	for _, tasks := range []bool{false, true} {
-		name := "sequential"
-		if tasks {
-			name = "task-parallel"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				p.BPAlign(core.BPOptions{
-					Iterations: 5, Rounding: matching.Approx,
-					SkipFinalExact: true, TaskParallelOthermax: tasks,
-				})
-			}
-		})
-	}
-}
-
 // BenchmarkAblationSortedAdjacency measures the §V sorted-neighbor-
 // list acceleration of FINDMATE.
 func BenchmarkAblationSortedAdjacency(b *testing.B) {

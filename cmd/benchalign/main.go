@@ -61,10 +61,7 @@ func main() {
 		label      = flag.String("label", "dev", "label recorded on each run entry")
 		matcher    = flag.String("matcher", "approx", "rounding matcher spec (e.g. exact, approx, suitor, auction(eps=1e-4))")
 		fused      = flag.Bool("fused", true, "use the fused othermax+damping kernels (BP)")
-		pipeline   = flag.Bool("pipeline", false, "overlap the rounding/objective step with the next sweep (bit-identical; needs >= 2 threads)")
-		pipeDepth  = flag.Int("pipeline-depth", 0, "pipelined batches in flight (0 = default, with -pipeline)")
-		reorder    = flag.String("reorder", "", "locality reordering of S's row storage: none, auto, degree or rcm (bit-identical)")
-		figs       = flag.Bool("figs", false, "figure mode: sweep the fig4..fig7 configurations, barrier and pipelined, and emit the speedup/per-step curves (-out JSON, -report markdown)")
+		figs       = flag.Bool("figs", false, "figure mode: sweep the fig4..fig7 configurations and emit the speedup/per-step curves (-out JSON, -report markdown)")
 		figScale   = flag.Float64("fig-scale", 1, "-figs: scale each preset's vertex count by this factor in (0,1]")
 		report     = flag.String("report", "", "-figs: write the markdown report to this file")
 		scaling    = flag.Bool("scaling", false, "strong-scaling mode: measure 1,2,4,8 threads and print speedup/efficiency and per-step ns")
@@ -145,23 +142,20 @@ func main() {
 		}
 		runFigs(bench.FigsOptions{
 			Threads: figThreads, Iters: figIters, Reps: figReps,
-			Seed: *seed, Label: *label, Scale: *figScale, Reorder: *reorder,
+			Seed: *seed, Label: *label, Scale: *figScale,
 		}, *out, *report)
 		return
 	}
 
 	runs, err := bench.Measure(bench.MeasureOptions{
-		Config:        *config,
-		Threads:       threadList,
-		Iters:         *iters,
-		Reps:          *reps,
-		Seed:          *seed,
-		Label:         *label,
-		Matcher:       *matcher,
-		Fused:         *fused,
-		Pipeline:      *pipeline,
-		PipelineDepth: *pipeDepth,
-		Reorder:       *reorder,
+		Config:  *config,
+		Threads: threadList,
+		Iters:   *iters,
+		Reps:    *reps,
+		Seed:    *seed,
+		Label:   *label,
+		Matcher: *matcher,
+		Fused:   *fused,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchalign: %v\n", err)
@@ -183,12 +177,8 @@ func main() {
 	}
 
 	for _, r := range runs {
-		fmt.Printf("%-16s %-6s t=%-3d %12.0f ns/iter %10.1f allocs/iter %12.0f B/iter  obj=%.4f",
+		fmt.Printf("%-16s %-6s t=%-3d %12.0f ns/iter %10.1f allocs/iter %12.0f B/iter  obj=%.4f\n",
 			r.Config, r.Method, r.Threads, r.NsPerIter, r.AllocsPerIter, r.BytesPerIter, r.Objective)
-		if r.Pipeline {
-			fmt.Printf("  hidden=%dns", r.HiddenMatchNs)
-		}
-		fmt.Println()
 	}
 	if *scaling {
 		printScaling(runs)

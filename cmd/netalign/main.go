@@ -66,13 +66,9 @@ func run() int {
 		fused   = flag.Bool("fused", false, "bp: fuse the othermax and damping sweeps (bit-identical, fewer passes over S)")
 		threads = flag.Int("threads", 0, "worker threads (0 = GOMAXPROCS)")
 
-		pipeline    = flag.Bool("pipeline", false, "overlap the rounding/objective step with the next sweep (bit-identical; needs >= 2 threads)")
-		pipeDepth   = flag.Int("pipeline-depth", 0, "pipelined rounding batches in flight (0 = 2, with -pipeline)")
-		pipeWorkers = flag.Int("pipeline-match-workers", 0, "worker threads dedicated to pipelined rounding (0 = half, with -pipeline)")
-		reorder     = flag.String("reorder", "", "locality reordering of S's row storage: none, auto, degree or rcm (bit-identical)")
-		timing      = flag.Bool("timing", false, "print the per-step time breakdown")
-		trace       = flag.Bool("trace", false, "print the per-evaluation objective trace")
-		outFile     = flag.String("out", "", "write the matching as 'a b' pairs to this file")
+		timing  = flag.Bool("timing", false, "print the per-step time breakdown")
+		trace   = flag.Bool("trace", false, "print the per-evaluation objective trace")
+		outFile = flag.String("out", "", "write the matching as 'a b' pairs to this file")
 
 		jsonOut       = flag.Bool("json", false, "write the result as JSON on stdout (suppresses the human summary)")
 		progress      = flag.Bool("progress", false, "stream per-iteration progress lines to stderr")
@@ -121,8 +117,6 @@ func run() int {
 	res, err := cli.Align(p, cli.AlignOptions{
 		Method: *method, Iters: *iters, Batch: *batch, Gamma: *gamma,
 		MStep: *mstep, Approx: *approx, Matcher: *matcher, Fused: *fused,
-		Pipeline: *pipeline, PipelineDepth: *pipeDepth,
-		PipelineMatchWorkers: *pipeWorkers, Reorder: *reorder,
 		Threads: *threads,
 		Timing:  *timing, Trace: *trace,
 		Timeout: *timeout, CheckpointPath: *checkpoint,

@@ -124,20 +124,6 @@ type Run struct {
 	// StepNs is the per-step StepTimer breakdown of the fastest rep.
 	StepNs   map[string]int64 `json:"step_ns,omitempty"`
 	Recorded string           `json:"recorded,omitempty"`
-	// Pipeline records whether the pipelined rounding engine was
-	// requested; Reorder the locality reordering mode. Both are
-	// bit-identical to the default path, so entries differing only in
-	// these fields must report the same Objective.
-	Pipeline bool   `json:"pipeline,omitempty"`
-	Reorder  string `json:"reorder,omitempty"`
-	// OverlapNs, StallNs and HiddenMatchNs attribute the pipelined
-	// rounding of the fastest rep: OverlapNs is match/objective work
-	// run concurrently with the sweep, StallNs the time the sweep
-	// waited for a free pipeline slot, and HiddenMatchNs =
-	// max(0, OverlapNs-StallNs) the net barrier cost hidden.
-	OverlapNs     int64 `json:"overlap_ns,omitempty"`
-	StallNs       int64 `json:"stall_ns,omitempty"`
-	HiddenMatchNs int64 `json:"hidden_match_ns,omitempty"`
 }
 
 // Host describes the measuring machine.
@@ -347,14 +333,6 @@ type MeasureOptions struct {
 	Matcher string
 	// Fused selects the fused othermax+damping kernels (BP only).
 	Fused bool
-	// Pipeline overlaps the rounding/objective step with the next
-	// sweep (bit-identical; only effective at >= 2 threads).
-	Pipeline bool
-	// PipelineDepth is the number of in-flight batches (0 = default).
-	PipelineDepth int
-	// Reorder is the locality reordering mode: "", none, auto, degree
-	// or rcm (bit-identical).
-	Reorder string
 	// ScaleN scales the configuration's vertex count (0 or 1 = full
 	// size); used by Figs to shrink the Fig 4-7 problems.
 	ScaleN float64
@@ -392,10 +370,6 @@ func MeasureConfig(cfg Config, o MeasureOptions) ([]Run, error) {
 	if _, err := spec.Matcher(); err != nil {
 		return nil, err
 	}
-	var reorder core.ReorderOptions
-	if err := reorder.Mode.UnmarshalText([]byte(o.Reorder)); err != nil {
-		return nil, err
-	}
 
 	so := gen.DefaultSynthetic(cfg.DBar, o.Seed)
 	if cfg.N > 0 {
@@ -413,7 +387,7 @@ func MeasureConfig(cfg Config, o MeasureOptions) ([]Run, error) {
 
 	var runs []Run
 	for _, threads := range o.Threads {
-		r, err := measureOne(p, cfg, o, spec, reorder, threads)
+		r, err := measureOne(p, cfg, o, spec, threads)
 		if err != nil {
 			return nil, err
 		}
@@ -427,9 +401,8 @@ func MeasureConfig(cfg Config, o MeasureOptions) ([]Run, error) {
 // breakdown are reported. The solves share one workspace (warmed by
 // the warmup solve) through the unified Align API, so the measurement
 // reflects the steady-state hot path.
-func measureOne(p *core.Problem, cfg Config, o MeasureOptions, spec matching.MatcherSpec, reorder core.ReorderOptions, threads int) (Run, error) {
+func measureOne(p *core.Problem, cfg Config, o MeasureOptions, spec matching.MatcherSpec, threads int) (Run, error) {
 	ws := core.NewWorkspace()
-	pipeline := core.PipelineOptions{Enabled: o.Pipeline, Depth: o.PipelineDepth}
 	solve := func(timer *stats.StepTimer) (*core.AlignResult, error) {
 		switch cfg.Method {
 		case "bp":
@@ -437,14 +410,14 @@ func measureOne(p *core.Problem, cfg Config, o MeasureOptions, spec matching.Mat
 				Iterations: o.Iters, Batch: cfg.Batch, Threads: threads,
 				Matcher: spec, FuseKernels: o.Fused, Workspace: ws,
 				SkipFinalExact: true, Timer: timer,
-			}, Pipeline: pipeline, Reorder: reorder})
+			}})
 			return res, err
 		case "mr":
 			res, err := p.Align(context.Background(), core.Options{Method: core.MethodMR, MR: core.MROptions{
 				Iterations: o.Iters, Threads: threads,
 				Matcher: spec, Workspace: ws,
 				SkipFinalExact: true, Timer: timer,
-			}, Pipeline: pipeline, Reorder: reorder})
+			}})
 			return res, err
 		default:
 			return nil, fmt.Errorf("bench: config %s has unknown method %q", cfg.Name, cfg.Method)
@@ -461,10 +434,6 @@ func measureOne(p *core.Problem, cfg Config, o MeasureOptions, spec matching.Mat
 		Fused: o.Fused && cfg.Method == "bp", Threads: threads,
 		Iterations: o.Iters, Reps: o.Reps, Seed: o.Seed,
 		Recorded: time.Now().UTC().Format(time.RFC3339),
-		Pipeline: o.Pipeline, Reorder: reorder.Mode.String(),
-	}
-	if reorder.Mode == core.ReorderNone {
-		run.Reorder = "" // omitempty: keep default-path entries unchanged
 	}
 	var ms0, ms1 runtime.MemStats
 	for rep := 0; rep < o.Reps; rep++ {
@@ -493,12 +462,6 @@ func measureOne(p *core.Problem, cfg Config, o MeasureOptions, spec matching.Mat
 				steps[step] = d.Nanoseconds()
 			}
 			run.StepNs = steps
-			run.OverlapNs, run.StallNs, run.HiddenMatchNs = 0, 0, 0
-			if pr := res.Pipeline; pr != nil {
-				run.OverlapNs = pr.OverlapNs
-				run.StallNs = pr.StallNs
-				run.HiddenMatchNs = pr.HiddenMatchNs
-			}
 		}
 	}
 	return run, nil

@@ -23,16 +23,13 @@ type FigsOptions struct {
 	Label string
 	// Scale shrinks every preset's vertex count (0 or 1 = full size).
 	Scale float64
-	// Reorder applies a locality reordering mode to every run.
-	Reorder string
 	// Progress, when non-nil, receives one line per measured point.
 	Progress func(line string)
 }
 
 // FigsDoc is the benchalign -figs document: every measured point of
-// the Figure 4-7 speedup/per-step sweep, barrier and pipelined, in one
-// place. It reuses the Run schema so existing tooling can read the
-// per-step breakdowns.
+// the Figure 4-7 speedup/per-step sweep in one place. It reuses the
+// Run schema so existing tooling can read the per-step breakdowns.
 type FigsDoc struct {
 	Schema string  `json:"schema"`
 	Host   Host    `json:"host"`
@@ -41,10 +38,7 @@ type FigsDoc struct {
 }
 
 // Figs measures the Figure 4-7 configurations over the requested
-// thread counts, barrier and pipelined, and returns the combined
-// document. The pipelined curve starts at 2 threads (the pipeline
-// needs a worker to hide the matching behind) and reuses the barrier
-// 1-thread point as its reference.
+// thread counts and returns the combined document.
 func Figs(o FigsOptions) (*FigsDoc, error) {
 	if len(o.Threads) == 0 {
 		o.Threads = []int{1, 2, 4, 8}
@@ -59,34 +53,19 @@ func Figs(o FigsOptions) (*FigsDoc, error) {
 		o.Label = "figs"
 	}
 	doc := &FigsDoc{Schema: FigsSchema, Host: NewDoc().Host, Scale: o.Scale}
-	var pipeThreads []int
-	for _, t := range o.Threads {
-		if t >= 2 {
-			pipeThreads = append(pipeThreads, t)
-		}
-	}
 	for _, cfg := range FigConfigs() {
-		for _, pipelined := range []bool{false, true} {
-			threads := o.Threads
-			if pipelined {
-				threads = pipeThreads
-			}
-			if len(threads) == 0 {
-				continue
-			}
-			runs, err := MeasureConfig(cfg, MeasureOptions{
-				Threads: threads, Iters: o.Iters, Reps: o.Reps,
-				Seed: o.Seed, Label: o.Label, Fused: cfg.Method == "bp",
-				Pipeline: pipelined, Reorder: o.Reorder, ScaleN: o.Scale,
-			})
-			if err != nil {
-				return nil, err
-			}
-			doc.Runs = append(doc.Runs, runs...)
-			if o.Progress != nil {
-				for _, r := range runs {
-					o.Progress(FormatRun(r))
-				}
+		runs, err := MeasureConfig(cfg, MeasureOptions{
+			Threads: o.Threads, Iters: o.Iters, Reps: o.Reps,
+			Seed: o.Seed, Label: o.Label, Fused: cfg.Method == "bp",
+			ScaleN: o.Scale,
+		})
+		if err != nil {
+			return nil, err
+		}
+		doc.Runs = append(doc.Runs, runs...)
+		if o.Progress != nil {
+			for _, r := range runs {
+				o.Progress(FormatRun(r))
 			}
 		}
 	}
@@ -125,23 +104,13 @@ func FigConfigs() []Config {
 
 // FormatRun renders one run as the human line benchalign prints.
 func FormatRun(r Run) string {
-	mode := "barrier"
-	if r.Pipeline {
-		mode = "pipeline"
-	}
-	line := fmt.Sprintf("%-12s %-6s %-8s t=%-3d %12.0f ns/iter  obj=%.4f",
-		r.Config, r.Method, mode, r.Threads, r.NsPerIter, r.Objective)
-	if r.HiddenMatchNs > 0 {
-		line += fmt.Sprintf("  hidden=%dns", r.HiddenMatchNs)
-	}
-	return line
+	return fmt.Sprintf("%-12s %-6s t=%-3d %12.0f ns/iter  obj=%.4f",
+		r.Config, r.Method, r.Threads, r.NsPerIter, r.Objective)
 }
 
 // Markdown renders the document as the speedup/per-step report: one
-// section per configuration with the barrier and pipelined curves side
-// by side (speedup against the 1-thread barrier point, the ratio
-// between the modes, and the hidden match time), then the per-step ns
-// breakdown of the widest run of each mode.
+// section per configuration with the speedup curve (against the
+// 1-thread point), then the per-step ns breakdown of the widest run.
 func (d *FigsDoc) Markdown() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# Figure 4-7 scaling report\n\n")
@@ -149,63 +118,35 @@ func (d *FigsDoc) Markdown() string {
 	if d.Scale > 0 && d.Scale < 1 {
 		fmt.Fprintf(&b, " Problems scaled to %.0f%% of the paper sizes.", 100*d.Scale)
 	}
-	fmt.Fprintf(&b, "\nSpeedup is against the 1-thread barrier run; `pipe/barrier` < 1 means the pipeline won at that width. All objectives per configuration must agree bit for bit.\n")
+	fmt.Fprintf(&b, "\nSpeedup is against the 1-thread run. All objectives per configuration must agree bit for bit.\n")
 
 	for _, cfg := range figConfigOrder(d.Runs) {
-		barrier, pipe := map[int]Run{}, map[int]Run{}
+		byThreads := map[int]Run{}
 		var threads []int
-		seen := map[int]bool{}
 		for _, r := range d.Runs {
 			if r.Config != cfg {
 				continue
 			}
-			if r.Pipeline {
-				pipe[r.Threads] = r
-			} else {
-				barrier[r.Threads] = r
-			}
-			if !seen[r.Threads] {
-				seen[r.Threads] = true
+			if _, seen := byThreads[r.Threads]; !seen {
 				threads = append(threads, r.Threads)
 			}
+			byThreads[r.Threads] = r
 		}
 		sort.Ints(threads)
-		base, haveBase := barrier[1]
+		base, haveBase := byThreads[1]
 		fmt.Fprintf(&b, "\n## %s\n\n", cfg)
-		fmt.Fprintf(&b, "| threads | barrier ns/iter | speedup | pipeline ns/iter | speedup | pipe/barrier | hidden match |\n")
-		fmt.Fprintf(&b, "|---:|---:|---:|---:|---:|---:|---:|\n")
+		fmt.Fprintf(&b, "| threads | ns/iter | speedup |\n")
+		fmt.Fprintf(&b, "|---:|---:|---:|\n")
 		for _, t := range threads {
-			br, hasB := barrier[t]
-			pr, hasP := pipe[t]
-			row := []string{fmt.Sprintf("%d", t)}
-			speedup := func(r Run) string {
-				if !haveBase || base.NsPerIter <= 0 || r.NsPerIter <= 0 {
-					return "–"
-				}
-				return fmt.Sprintf("%.2fx", base.NsPerIter/r.NsPerIter)
+			r := byThreads[t]
+			speedup := "–"
+			if haveBase && base.NsPerIter > 0 && r.NsPerIter > 0 {
+				speedup = fmt.Sprintf("%.2fx", base.NsPerIter/r.NsPerIter)
 			}
-			if hasB {
-				row = append(row, fmt.Sprintf("%.0f", br.NsPerIter), speedup(br))
-			} else {
-				row = append(row, "–", "–")
-			}
-			if hasP {
-				ratio := "–"
-				if hasB && br.NsPerIter > 0 {
-					ratio = fmt.Sprintf("%.2f", pr.NsPerIter/br.NsPerIter)
-				}
-				row = append(row, fmt.Sprintf("%.0f", pr.NsPerIter), speedup(pr), ratio,
-					fmt.Sprintf("%.2fms", float64(pr.HiddenMatchNs)/1e6))
-			} else {
-				row = append(row, "–", "–", "–", "–")
-			}
-			fmt.Fprintf(&b, "| %s |\n", strings.Join(row, " | "))
+			fmt.Fprintf(&b, "| %d | %.0f | %s |\n", t, r.NsPerIter, speedup)
 		}
-		if r, ok := widest(barrier, threads); ok {
-			writeStepTable(&b, "barrier", r)
-		}
-		if r, ok := widest(pipe, threads); ok {
-			writeStepTable(&b, "pipeline", r)
+		if len(threads) > 0 {
+			writeStepTable(&b, byThreads[threads[len(threads)-1]])
 		}
 	}
 	return b.String()
@@ -225,20 +166,9 @@ func figConfigOrder(runs []Run) []string {
 	return out
 }
 
-// widest returns the run at the largest measured thread count.
-func widest(byThreads map[int]Run, threads []int) (Run, bool) {
-	for i := len(threads) - 1; i >= 0; i-- {
-		if r, ok := byThreads[threads[i]]; ok {
-			return r, true
-		}
-	}
-	return Run{}, false
-}
-
-// writeStepTable renders one mode's per-step breakdown at its widest
-// thread count, largest step first, so the step limiting scaling (and
-// the overlap steps the pipeline adds) is visible in the report.
-func writeStepTable(b *strings.Builder, mode string, r Run) {
+// writeStepTable renders the per-step breakdown of one run, largest
+// step first, so the step limiting scaling is visible in the report.
+func writeStepTable(b *strings.Builder, r Run) {
 	if len(r.StepNs) == 0 {
 		return
 	}
@@ -256,7 +186,7 @@ func writeStepTable(b *strings.Builder, mode string, r Run) {
 		}
 		return steps[i].name < steps[j].name
 	})
-	fmt.Fprintf(b, "\nPer-step ns, %s mode at t=%d (whole solve):\n\n", mode, r.Threads)
+	fmt.Fprintf(b, "\nPer-step ns at t=%d (whole solve):\n\n", r.Threads)
 	fmt.Fprintf(b, "| step | ns |\n|---|---:|\n")
 	for _, s := range steps {
 		fmt.Fprintf(b, "| %s | %d |\n", s.name, s.ns)

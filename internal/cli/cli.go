@@ -109,19 +109,7 @@ type AlignOptions struct {
 	Matcher string
 	// Fused enables the fused othermax+damping kernels (BP only; the
 	// iterates are bit-identical to the unfused path).
-	Fused bool
-	// Pipeline enables pipelined batched rounding: the matching step
-	// runs on dedicated workers while the sweeps proceed. Results are
-	// bit-identical to the barrier path. PipelineDepth and
-	// PipelineMatchWorkers tune the ring depth and the collector's
-	// worker share (0 = defaults).
-	Pipeline             bool
-	PipelineDepth        int
-	PipelineMatchWorkers int
-	// Reorder selects the locality reordering of S's row storage:
-	// "none" (default), "auto", "degree", or "rcm". Bit-identical
-	// either way.
-	Reorder string
+	Fused   bool
 	Threads int
 	Timing  bool
 	Trace   bool
@@ -198,15 +186,6 @@ func Align(p *core.Problem, o AlignOptions, out io.Writer) (*core.AlignResult, e
 	var method core.Method
 	if err := method.UnmarshalText([]byte(methodText)); err != nil {
 		return nil, fmt.Errorf("cli: unknown method %q", o.Method)
-	}
-	var reorder core.ReorderOptions
-	if err := reorder.Mode.UnmarshalText([]byte(o.Reorder)); err != nil {
-		return nil, fmt.Errorf("cli: %w", err)
-	}
-	pipeline := core.PipelineOptions{
-		Enabled:      o.Pipeline,
-		Depth:        o.PipelineDepth,
-		MatchWorkers: o.PipelineMatchWorkers,
 	}
 	var resume *core.Checkpoint
 	if o.ResumePath != "" {
@@ -297,9 +276,7 @@ func Align(p *core.Problem, o AlignOptions, out io.Writer) (*core.AlignResult, e
 		// Options carries both methods' option sets; Align reads only
 		// the selected one.
 		res, runErr = p.Align(ctx, core.Options{
-			Method:   method,
-			Pipeline: pipeline,
-			Reorder:  reorder,
+			Method: method,
 			BP: core.BPOptions{
 				Iterations: o.Iters, Gamma: o.Gamma, Batch: o.Batch,
 				Threads: o.Threads, Matcher: spec, FuseKernels: o.Fused,
@@ -366,13 +343,6 @@ func Align(p *core.Problem, o AlignOptions, out io.Writer) (*core.AlignResult, e
 		fmt.Fprintf(out, "cached:       result replayed from %s\n", o.CacheDir)
 	}
 	fmt.Fprintf(out, "elapsed:      %v\n", elapsed.Round(time.Millisecond))
-	if res.Pipeline != nil {
-		fmt.Fprintf(out, "pipeline:     %d batches, overlap %v, stall %v, hidden %v\n",
-			res.Pipeline.Batches,
-			time.Duration(res.Pipeline.OverlapNs).Round(time.Microsecond),
-			time.Duration(res.Pipeline.StallNs).Round(time.Microsecond),
-			time.Duration(res.Pipeline.HiddenMatchNs).Round(time.Microsecond))
-	}
 	if timer != nil {
 		fmt.Fprintf(out, "\nstep breakdown:\n%s", timer)
 	}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -91,5 +92,55 @@ func TestAdmissionRejectsBadSpecs(t *testing.T) {
 				t.Errorf("router error {%s, %q}, want {bad_request, %q}", env.Error.Code, env.Error.Message, tc.msg)
 			}
 		})
+	}
+}
+
+// TestRouterLegacyLayoutFields: through the router, a spec carrying the
+// v1 "pipeline" and "reorder" fields (accepted and ignored) keys and
+// routes like the bare spec — it lands on the bare spec's owner as a
+// cache hit with byte-identical result bytes — and an unknown reorder
+// value is still relayed as 400 bad_request with the node's message.
+func TestRouterLegacyLayoutFields(t *testing.T) {
+	a := startNode(t, server.Config{CacheBytes: 16 << 20})
+	b := startNode(t, server.Config{CacheBytes: 16 << 20})
+	_, rt := startRouter(t, a, b)
+
+	bare := smallSpec()
+	bare.Threads = 2
+	legacy := bare
+	legacy.Pipeline = true
+	legacy.Reorder = "rcm"
+
+	st1 := submitOK(t, rt.URL, bare)
+	waitDone(t, rt.URL, st1.ID)
+	want := getResultBytes(t, rt.URL, st1.ID)
+	st2 := submitOK(t, rt.URL, legacy)
+	waitDone(t, rt.URL, st2.ID)
+	if got := getResultBytes(t, rt.URL, st2.ID); !bytes.Equal(got, want) {
+		t.Fatal("result with pipeline/reorder differs from the bare spec's")
+	}
+	owner := findOwner(t, []*testNode{a, b}, st1.ID)
+	if findOwner(t, []*testNode{a, b}, st2.ID) != owner {
+		t.Error("spec with pipeline/reorder routed to a different owner than the bare spec")
+	}
+	if m := owner.mgr.Snapshot(); m.CacheHits < 1 {
+		t.Errorf("owner cache hits = %d, want >= 1 (same cache key)", m.CacheHits)
+	}
+
+	bogus := bare
+	bogus.Reorder = "bogus"
+	resp, body := postSpec(t, rt.URL, bogus)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("router status %d, want 400: %s", resp.StatusCode, body)
+	}
+	var env struct {
+		Error struct{ Code, Message string }
+	}
+	if err := json.Unmarshal(body, &env); err != nil {
+		t.Fatalf("router body %s: %v", body, err)
+	}
+	const msg = `server: bad job spec: unknown reorder mode "bogus" (want none, auto, degree or rcm)`
+	if env.Error.Code != "bad_request" || env.Error.Message != msg {
+		t.Errorf("router error {%s, %q}, want {bad_request, %q}", env.Error.Code, env.Error.Message, msg)
 	}
 }

@@ -53,14 +53,6 @@ type Options struct {
 	BP BPOptions
 	// MR configures MethodMR.
 	MR MROptions
-	// Pipeline configures pipelined batched rounding (overlapping the
-	// matching step with the next sweep); the zero value keeps the
-	// classic barrier path. Results are bit-identical either way.
-	Pipeline PipelineOptions
-	// Reorder configures the locality reordering of S's row storage;
-	// the zero value keeps the canonical order. Results are
-	// bit-identical either way.
-	Reorder ReorderOptions
 }
 
 // Align runs the selected alignment method under a context. It is the
@@ -76,9 +68,9 @@ func (p *Problem) Align(ctx context.Context, o Options) (*AlignResult, error) {
 	}
 	switch o.Method {
 	case MethodBP:
-		return p.bpAlign(ctx, o.BP, o.Pipeline, o.Reorder)
+		return p.bpAlign(ctx, o.BP)
 	case MethodMR:
-		return p.mrAlign(ctx, o.MR, o.Pipeline, o.Reorder)
+		return p.mrAlign(ctx, o.MR)
 	default:
 		err := fmt.Errorf("core: unknown method %d", o.Method)
 		res := p.emptyResult()

@@ -112,15 +112,6 @@ func TestBPBatchEquivalence(t *testing.T) {
 	}
 }
 
-func TestBPTaskParallelOthermaxEquivalent(t *testing.T) {
-	p := smallSynthetic(t, 19)
-	a := p.BPAlign(core.BPOptions{Iterations: 15, TaskParallelOthermax: false})
-	b := p.BPAlign(core.BPOptions{Iterations: 15, TaskParallelOthermax: true, Threads: 4})
-	if math.Abs(a.Objective-b.Objective) > 1e-9 {
-		t.Fatalf("task-parallel othermax changed result: %g vs %g", a.Objective, b.Objective)
-	}
-}
-
 func TestKlauApproxDegradesOrMatches(t *testing.T) {
 	// Fig 2's other half: MR is sensitive to approximate rounding; at
 	// minimum the approx variant must stay a valid matching and not

@@ -68,10 +68,9 @@ type BPOptions struct {
 	// Threads is the worker count (<= 0 means GOMAXPROCS).
 	Threads int
 	// Chunk is the context-poll granularity of the S and edge sweeps,
-	// in indices, and the chunk size of the task-parallel othermax
-	// scans (0 = 1000, the paper's dynamic-schedule chunk). The sweeps
-	// themselves split their index spaces by nnz-balanced partitions
-	// (see DESIGN.md §4), so Chunk never changes the output.
+	// in indices (0 = 1000, the paper's dynamic-schedule chunk). The
+	// sweeps themselves split their index spaces by nnz-balanced
+	// partitions (see DESIGN.md §4), so Chunk never changes the output.
 	Chunk int
 	// Rounding is the matcher used to round iterates; nil selects
 	// exact matching, matching.Approx gives the paper's substitution.
@@ -103,11 +102,6 @@ type BPOptions struct {
 	// successive solves on same-shaped problems removes the per-solve
 	// buffer allocations too. A workspace serves one solve at a time.
 	Workspace *Workspace
-	// TaskParallelOthermax computes othermaxrow and othermaxcol
-	// concurrently, the reorganization sketched in the paper's
-	// discussion ("the othermax functions could be computed
-	// independently"). Off by default.
-	TaskParallelOthermax bool
 	// SkipFinalExact disables the final exact rounding of the best
 	// heuristic (used by the scaling studies).
 	SkipFinalExact bool
@@ -211,36 +205,16 @@ func (p *Problem) BPAlignCtx(ctx context.Context, o BPOptions) (*AlignResult, er
 // created once before the loop, so steady-state iterations perform no
 // heap allocations: at Threads=1 every region runs inline, and at
 // higher thread counts it dispatches on the run's parked worker pool.
-func (p *Problem) bpAlign(ctx context.Context, o BPOptions, po PipelineOptions, ro ReorderOptions) (*AlignResult, error) {
+func (p *Problem) bpAlign(ctx context.Context, o BPOptions) (*AlignResult, error) {
 	opts := o.defaults()
 	threads, chunk := opts.Threads, opts.Chunk
 	timer := opts.Timer
 	nnz := p.S.NNZ()
 	mEL := p.L.NumEdges()
-	total := parallel.Threads(threads)
-	serial := total == 1
+	serial := parallel.Threads(threads) == 1
 
 	tr := &Tracker{Trace: opts.Trace}
 	guard := newNumericGuard(opts.GuardLimit)
-
-	// The reordered storage view of S (nil = canonical order). Every
-	// kernel below reads S through the view's arrays; edge-indexed
-	// vectors and all outputs stay canonical.
-	view, err := p.reorderViewFor(ro)
-	if err != nil {
-		res := p.emptyResult()
-		res.Err = err
-		return res, err
-	}
-
-	// Pipelined rounding engages only for parallel, fault-free runs;
-	// everything else keeps the barrier path (same bits either way).
-	pipelined := po.Enabled && !serial && opts.Faults == nil
-	pcfg := po.withDefaults(total)
-	nSlots := opts.Batch + 1
-	if pipelined {
-		nSlots = pcfg.Depth * (opts.Batch + 1)
-	}
 
 	ws := opts.Workspace
 	if ws == nil {
@@ -248,25 +222,15 @@ func (p *Problem) bpAlign(ctx context.Context, o BPOptions, po PipelineOptions, 
 	}
 	ws.ensureBP(mEL, nnz)
 	key, mk := matcherFactory(opts.Rounding, opts.Matcher)
-	if err := ws.ensureRound(p, key, mk, nSlots); err != nil {
+	if err := ws.ensureRound(p, key, mk, opts.Batch+1); err != nil {
 		res := p.emptyResult()
 		res.Err = err
 		return res, err
 	}
 	// The run's parallel-region dispatcher: a persistent worker pool
 	// (created once, parked between regions) plus the per-problem
-	// nnz-balanced partitions cached in the workspace. With the
-	// pipeline on, the sweeps run on the workers the collector does
-	// not use; every dispatched loop is thread-count invariant, so
-	// shrinking the sweep budget changes no bits.
-	execThreads := threads
-	if pipelined {
-		execThreads = total - pcfg.MatchWorkers
-		if execThreads < 1 {
-			execThreads = 1
-		}
-	}
-	e := newExec(p, ws, execThreads, chunk, view)
+	// nnz-balanced partitions cached in the workspace.
+	e := newExec(p, ws, threads, chunk)
 	defer e.close()
 
 	y, z := ws.y, ws.z
@@ -285,10 +249,7 @@ func (p *Problem) bpAlign(ctx context.Context, o BPOptions, po PipelineOptions, 
 		}
 		copy(yPrev, opts.Resume.Y)
 		copy(zPrev, opts.Resume.Z)
-		// Checkpoints carry SK in canonical nonzero order; gather it
-		// into this run's storage order (identity without a view), so
-		// resuming under different reorder settings is bit-identical.
-		view.gather(skPrev, opts.Resume.SK)
+		copy(skPrev, opts.Resume.SK)
 		gammaK = opts.Resume.GammaK
 		guard.tighten = opts.Resume.Tighten
 		if guard.tighten == 0 {
@@ -320,16 +281,6 @@ func (p *Problem) bpAlign(ctx context.Context, o BPOptions, po PipelineOptions, 
 	w := p.L.W
 	ptr := p.S.Ptr
 	alpha := p.Alpha
-	// With a reorder view, the nnz-indexed arrays switch to the
-	// reordered storage (perm and sRow are pre-composed so kernels
-	// keep indexing canonical edge vectors), and the row loops walk
-	// rows in storage order with rowOf mapping back to the canonical
-	// row for the d/w accesses.
-	var rowOf []int
-	if view != nil {
-		sVal, perm, sRow, ptr = view.s.Val, view.perm, view.sRow, view.s.Ptr
-		rowOf = view.rows
-	}
 
 	fused := opts.FuseKernels && opts.Faults == nil
 
@@ -351,20 +302,14 @@ func (p *Problem) bpAlign(ctx context.Context, o BPOptions, po PipelineOptions, 
 			f[k] = sparse.Bound(beta*sVal[k]+skPrev[perm[k]], 0, beta)
 		}
 	}
-	// Step 2: d = αw + F·e (row sums of F over S's pattern). Each row
-	// keeps its within-row summation order under reordering, so every
-	// d entry is bit-identical; only which worker computes it moves.
+	// Step 2: d = αw + F·e (row sums of F over S's pattern).
 	computeD := func(lo, hi int) {
 		for e := lo; e < hi; e++ {
 			s := 0.0
 			for k := ptr[e]; k < ptr[e+1]; k++ {
 				s += f[k]
 			}
-			r := e
-			if rowOf != nil {
-				r = rowOf[e]
-			}
-			d[r] = alpha*w[r] + s
+			d[e] = alpha*w[e] + s
 		}
 	}
 	// Step 3 tail: y = d − othermaxcol(z⁽ᵏ⁻¹⁾), z = d − othermaxrow(y⁽ᵏ⁻¹⁾).
@@ -421,15 +366,7 @@ func (p *Problem) bpAlign(ctx context.Context, o BPOptions, po PipelineOptions, 
 	// with the degree-balanced partitions.
 	omRowsBody := func(lo, hi int) { othermaxRowsRange(om, yPrev, p.L, lo, hi) }
 	omColsBody := func(lo, hi int) { othermaxColsRange(om2, zPrev, p.L, lo, hi) }
-	omTasks := []func(int){
-		func(t int) { othermaxColsInto(om2, zPrev, p.L, t, chunk) },
-		func(t int) { othermaxRowsInto(om, yPrev, p.L, t, chunk) },
-	}
 	othermaxScan := func() {
-		if opts.TaskParallelOthermax {
-			e.runTasks(omTasks)
-			return
-		}
 		e.forLCols(p.L.NB, omColsBody)
 		e.forLRows(p.L.NA, omRowsBody)
 	}
@@ -453,27 +390,6 @@ func (p *Problem) bpAlign(ctx context.Context, o BPOptions, po PipelineOptions, 
 	// Pending rounding slots (the batch) and their parallel tasks.
 	pendLen := 0
 	var numericEvents atomic.Int64
-
-	// With the pipeline on, batches round on the collector goroutine
-	// while the loop sweeps ahead; slots then come from the ring's
-	// current group instead of the workspace's flat prefix.
-	var pipe *roundingPipeline
-	if pipelined {
-		work := func(s *roundSlot) {
-			if !finiteVector(s.heur) {
-				numericEvents.Add(1)
-				return
-			}
-			p.roundSlotRun(s, s.threads)
-		}
-		pipe = newRoundingPipeline(ctx, tr, timer, ws.slots[:nSlots], opts.Batch+1,
-			pcfg, total, BPStepMatch, StepMatchOverlap, work)
-		defer pipe.close()
-	}
-	slots := ws.slots
-	if pipe != nil {
-		slots = pipe.cur.slots
-	}
 
 	slotTasks := make([]func(int), opts.Batch+1)
 	for i := range slotTasks {
@@ -522,12 +438,6 @@ func (p *Problem) bpAlign(ctx context.Context, o BPOptions, po PipelineOptions, 
 	}
 	flush := func() {
 		if pendLen == 0 {
-			return
-		}
-		if pipe != nil {
-			pipe.submit(pendLen)
-			slots = pipe.cur.slots
-			pendLen = 0
 			return
 		}
 		timer.Time(BPStepMatch, flushBody)
@@ -627,12 +537,12 @@ loop:
 
 		// Step 6: copy the damped y and z iterates into the next two
 		// batch slots; flush when the batch is full.
-		sy := slots[pendLen]
+		sy := ws.slots[pendLen]
 		sy.iter = iter
 		sy.heur = growFloat64(sy.heur, mEL)
 		copy(sy.heur, yPrev)
 		pendLen++
-		sz := slots[pendLen]
+		sz := ws.slots[pendLen]
 		sz.iter = iter
 		sz.heur = growFloat64(sz.heur, mEL)
 		copy(sz.heur, zPrev)
@@ -658,9 +568,6 @@ loop:
 
 		if opts.CheckpointEvery > 0 && opts.CheckpointFunc != nil && iter%opts.CheckpointEvery == 0 {
 			flush() // the snapshot's tracker must cover every iterate so far
-			if pipe != nil {
-				pipe.drain()
-			}
 			ck := &Checkpoint{
 				Method:   "bp",
 				Iter:     iter,
@@ -669,10 +576,7 @@ loop:
 				Failures: guard.failures,
 				Y:        append([]float64(nil), yPrev...),
 				Z:        append([]float64(nil), zPrev...),
-				// SK is serialized in canonical nonzero order regardless
-				// of the run's storage layout, so checkpoint bytes (and
-				// resumes) are identical across reorder settings.
-				SK: view.canonicalCopy(skPrev),
+				SK:       append([]float64(nil), skPrev...),
 			}
 			ck.fingerprint(p)
 			ck.captureTracker(tr)
@@ -687,14 +591,6 @@ loop:
 	cancelled := stopped == StopCancelled || stopped == StopDeadline
 	if !cancelled {
 		flush()
-	}
-	var pipeReport *PipelineReport
-	if pipe != nil {
-		// Wait for in-flight batches (their offers land in submit order),
-		// then retire the collector before the final exact rounding.
-		pipe.drain()
-		pipe.close()
-		pipeReport = pipe.report()
 	}
 
 	var out *AlignResult
@@ -712,7 +608,6 @@ loop:
 	out.Iterations = lastIter
 	out.Stopped = stopped
 	out.NumericFailures = guard.failures
-	out.Pipeline = pipeReport
 	out.Err = runErr
 	if opts.Trace {
 		out.ObjectiveTrace = append([]float64(nil), tr.Objective...)

@@ -17,12 +17,8 @@ import (
 //   - Threads, Chunk: the dispatch layer. Chunk is only the
 //     context-poll and task-chunk granularity, and thread counts agree
 //     to float reduction order (TestThreadCountMatrix{BP,MR}).
-//   - FuseKernels, TaskParallelOthermax: alternative evaluation
-//     orders proven bit-identical to the originals.
-//   - Options.Pipeline, Options.Reorder: execution-layout choices
-//     pinned bit-identical to the barrier/canonical paths
-//     (TestPipelineMatrix*, TestReorderMatrix*); excluding them lets
-//     the cache coalesce runs across those settings.
+//   - FuseKernels: an alternative evaluation order proven
+//     bit-identical to the unfused kernels (TestFusedKernelsBitIdentical).
 //   - Workspace, Timer, Trace, Observer, CheckpointEvery,
 //     CheckpointFunc: instrumentation and buffer reuse.
 //

@@ -167,10 +167,6 @@ type AlignResult struct {
 	// ObjectiveTrace holds every rounded objective in evaluation order
 	// (with Trace set).
 	ObjectiveTrace []float64
-	// Pipeline is the overlap accounting of a pipelined solve (see
-	// Options.Pipeline); nil when the pipeline was off or did not
-	// engage.
-	Pipeline *PipelineReport
 }
 
 func absf(x float64) float64 {
@@ -251,39 +247,15 @@ func (p *Problem) MRAlignCtx(ctx context.Context, o MROptions) (*AlignResult, er
 // once before the loop (a closure handed to the parallel constructs
 // escapes), so steady-state iterations perform no heap allocations at
 // Threads=1.
-func (p *Problem) mrAlign(ctx context.Context, o MROptions, po PipelineOptions, ro ReorderOptions) (*AlignResult, error) {
+func (p *Problem) mrAlign(ctx context.Context, o MROptions) (*AlignResult, error) {
 	opts := o.defaults(p)
 	threads, chunk := opts.Threads, opts.Chunk
 	timer := opts.Timer
 	nnz := p.S.NNZ()
 	mEL := p.L.NumEdges()
-	total := parallel.Threads(threads)
-	serial := total == 1
 
 	tr := &Tracker{Trace: opts.Trace}
 	guard := newNumericGuard(opts.GuardLimit)
-
-	// The reordered storage view of S (nil = canonical order). Every
-	// nnz-indexed kernel below reads S through the view's arrays; edge
-	// vectors and all outputs stay canonical.
-	view, err := p.reorderViewFor(ro)
-	if err != nil {
-		res := p.emptyResult()
-		res.Err = err
-		return res, err
-	}
-
-	// MR defers only step 4's objective evaluation and tracker offer to
-	// the pipeline, so anything that reads them inside the loop — the
-	// gap test, an observer, the bound traces — keeps the barrier path
-	// (same bits either way).
-	pipelined := po.Enabled && !serial && opts.Faults == nil &&
-		opts.GapTolerance <= 0 && opts.Observer == nil && !opts.Trace
-	pcfg := po.withDefaults(total)
-	nSlots := 1
-	if pipelined {
-		nSlots = 1 + pcfg.Depth
-	}
 
 	ws := opts.Workspace
 	if ws == nil {
@@ -291,7 +263,7 @@ func (p *Problem) mrAlign(ctx context.Context, o MROptions, po PipelineOptions, 
 	}
 	ws.ensureMR(mEL, nnz)
 	key, mk := matcherFactory(opts.Rounding, opts.Matcher)
-	if err := ws.ensureRound(p, key, mk, nSlots); err != nil {
+	if err := ws.ensureRound(p, key, mk, 1); err != nil {
 		res := p.emptyResult()
 		res.Err = err
 		return res, err
@@ -299,17 +271,8 @@ func (p *Problem) mrAlign(ctx context.Context, o MROptions, po PipelineOptions, 
 	mrS := ws.slots[0]
 	// The run's parallel-region dispatcher: a persistent worker pool
 	// plus the per-problem nnz-balanced partitions cached in the
-	// workspace. With the pipeline on, the sweeps run on the workers
-	// the collector does not use; every dispatched loop is thread-count
-	// invariant, so shrinking the sweep budget changes no bits.
-	execThreads := threads
-	if pipelined {
-		execThreads = total - pcfg.MatchWorkers
-		if execThreads < 1 {
-			execThreads = 1
-		}
-	}
-	e := newExec(p, ws, execThreads, chunk, view)
+	// workspace.
+	e := newExec(p, ws, threads, chunk)
 	defer e.close()
 
 	u := ws.u       // Lagrange multipliers (upper triangle only)
@@ -331,10 +294,7 @@ func (p *Problem) mrAlign(ctx context.Context, o MROptions, po PipelineOptions, 
 			res.Err = err
 			return res, err
 		}
-		// Checkpoints carry U in canonical nonzero order; gather it into
-		// this run's storage order (identity without a view), so
-		// resuming under different reorder settings is bit-identical.
-		view.gather(u, opts.Resume.U)
+		copy(u, opts.Resume.U)
 		gamma = opts.Resume.Gamma
 		bestUpper = opts.Resume.BestUpper
 		haveUpper = opts.Resume.HaveUpper
@@ -368,18 +328,6 @@ func (p *Problem) mrAlign(ctx context.Context, o MROptions, po PipelineOptions, 
 	sRow := p.SRow
 	sCol := p.S.Col
 	bound := opts.UBound
-	// With a reorder view, the nnz-indexed arrays switch to the
-	// reordered storage (perm, sRow and sCol are pre-composed or
-	// canonical so kernels keep indexing canonical edge vectors), and
-	// the row loop walks rows in storage order with rowOf mapping back
-	// to the canonical row for the d accesses.
-	sMat := p.S
-	var rowOf []int
-	if view != nil {
-		sVal, perm, sRow, sCol = view.s.Val, view.perm, view.sRow, view.s.Col
-		sMat = view.s
-		rowOf = view.rows
-	}
 
 	// Per-worker row-matching scratch, preallocated outside the
 	// iteration (§IV-B: "We precompute the maximum memory required for
@@ -413,20 +361,6 @@ func (p *Problem) mrAlign(ctx context.Context, o MROptions, po PipelineOptions, 
 	var obj, upper float64
 	var gU float64 // γ·tighten, fixed before the Step 5 sweep
 
-	// With the pipeline on, step 4's objective and offer run on the
-	// collector goroutine (one slot per batch) while the loop proceeds
-	// to the multiplier update and the next iteration's sweeps.
-	var pipe *roundingPipeline
-	if pipelined {
-		work := func(s *roundSlot) {
-			s.obj = p.slotObjective(s, s.threads)
-			s.ok = true
-		}
-		pipe = newRoundingPipeline(ctx, tr, timer, ws.slots[1:nSlots], 1,
-			pcfg, total, MRStepObjective, StepObjectiveOverlap, work)
-		defer pipe.close()
-	}
-
 	rowWKernel := func(lo, hi int) {
 		for k := lo; k < hi; k++ {
 			rowW[k] = beta2*sVal[k] + u[k] - u[perm[k]]
@@ -439,21 +373,17 @@ func (p *Problem) mrAlign(ctx context.Context, o MROptions, po PipelineOptions, 
 	rowMatchKernel := func(worker, lo, hi int) {
 		sm := rowMatchers[worker]
 		for e1 := lo; e1 < hi; e1++ {
-			klo, khi := sMat.RowRange(e1)
-			r := e1
-			if rowOf != nil {
-				r = rowOf[e1]
-			}
+			klo, khi := p.S.RowRange(e1)
 			if klo == khi {
-				d[r] = 0
+				d[e1] = 0
 				continue
 			}
 			var selected []int
 			var value float64
 			if opts.GreedyRowMatch {
-				selected, value = sm.GreedySubset(p.L, sMat.Col[klo:khi], rowW[klo:khi], rowSelected[worker][:0])
+				selected, value = sm.GreedySubset(p.L, sCol[klo:khi], rowW[klo:khi], rowSelected[worker][:0])
 			} else {
-				selected, value = sm.Solve(p.L, sMat.Col[klo:khi], rowW[klo:khi], rowSelected[worker][:0])
+				selected, value = sm.Solve(p.L, sCol[klo:khi], rowW[klo:khi], rowSelected[worker][:0])
 			}
 			rowSelected[worker] = selected
 			for k := klo; k < khi; k++ {
@@ -462,7 +392,7 @@ func (p *Problem) mrAlign(ctx context.Context, o MROptions, po PipelineOptions, 
 			for _, pos := range selected {
 				sL[klo+pos] = 1
 			}
-			d[r] = value
+			d[e1] = value
 		}
 	}
 	daxpyKernel := func(lo, hi int) {
@@ -506,24 +436,8 @@ func (p *Problem) mrAlign(ctx context.Context, o MROptions, po PipelineOptions, 
 	step4 := func() {
 		x = mrS.res.IndicatorInto(p.L, mrS.x)
 		mrS.x = x
-		if pipe != nil {
-			// Snapshot the iterate into the ring slot and defer the
-			// objective + offer. The slot's nested budget (fixed at
-			// submit; one task gets the whole budget) makes the
-			// deferred reduction's partition — hence its bits — match
-			// the inline evaluation's.
-			s := pipe.cur.slots[0]
-			s.iter = iter
-			s.heur = growFloat64(s.heur, mEL)
-			copy(s.heur, wbar)
-			s.x = growFloat64(s.x, mEL)
-			copy(s.x, x)
-			s.res.CopyFrom(&mrS.res)
-			pipe.submit(1)
-		} else {
-			obj = p.slotObjective(mrS, threads)
-			tr.Offer(iter, obj, &mrS.res, wbar)
-		}
+		obj = p.slotObjective(mrS, threads)
+		tr.Offer(iter, obj, &mrS.res, wbar)
 		upper = parallel.SumFloat64(mEL, threads, upperKernel)
 		if opts.Trace {
 			upperTrace = append(upperTrace, upper)
@@ -622,16 +536,10 @@ func (p *Problem) mrAlign(ctx context.Context, o MROptions, po PipelineOptions, 
 		lastIter = iter
 
 		if opts.CheckpointEvery > 0 && opts.CheckpointFunc != nil && iter%opts.CheckpointEvery == 0 {
-			if pipe != nil {
-				pipe.drain() // the snapshot's tracker must cover every offer so far
-			}
 			ck := &Checkpoint{
-				Method: "mr",
-				Iter:   iter,
-				// U is serialized in canonical nonzero order regardless
-				// of the run's storage layout, so checkpoint bytes (and
-				// resumes) are identical across reorder settings.
-				U:             view.canonicalCopy(u),
+				Method:        "mr",
+				Iter:          iter,
+				U:             append([]float64(nil), u...),
 				Gamma:         gamma,
 				BestUpper:     bestUpper,
 				HaveUpper:     haveUpper,
@@ -662,14 +570,6 @@ func (p *Problem) mrAlign(ctx context.Context, o MROptions, po PipelineOptions, 
 	}
 
 	cancelled := stopped == StopCancelled || stopped == StopDeadline
-	var pipeReport *PipelineReport
-	if pipe != nil {
-		// Wait for in-flight offers (they land in submit order), then
-		// retire the collector before the final exact rounding.
-		pipe.drain()
-		pipe.close()
-		pipeReport = pipe.report()
-	}
 	var out *AlignResult
 	if cancelled && !tr.HasBest() {
 		out = p.emptyResult()
@@ -685,7 +585,6 @@ func (p *Problem) mrAlign(ctx context.Context, o MROptions, po PipelineOptions, 
 	out.ConvergedIter = convergedIter
 	out.Stopped = stopped
 	out.NumericFailures = guard.failures
-	out.Pipeline = pipeReport
 	out.Err = runErr
 	out.Upper = upperTrace
 	out.Lower = lowerTrace

@@ -4,10 +4,19 @@ import (
 	"math"
 
 	"netalignmc/internal/bipartite"
-	"netalignmc/internal/parallel"
 )
 
-// othermaxRowsRange applies othermaxrow to the rows [lo, hi).
+// othermaxRowsRange applies the paper's othermaxrow function to the
+// rows [lo, hi), writing into dst: for each vertex i ∈ V_A and each
+// incident edge (i,i'),
+//
+//	dst[(i,i')] = bound_{0,∞}( max over (i,k') ∈ E_L, k' ≠ i' of g[(i,k')] )
+//
+// i.e. every edge in a row receives the row maximum, except the
+// maximal edge itself which receives the second largest value, clamped
+// below at zero. Rows with a single edge get 0 (the max over an empty
+// set is -∞, bounded to 0). Rows are independent, so the solver
+// dispatches disjoint row ranges over its worker pool.
 func othermaxRowsRange(dst, g []float64, l *bipartite.Graph, lo, hi int) {
 	for a := lo; a < hi; a++ {
 		elo, ehi := l.RowRange(a)
@@ -36,7 +45,9 @@ func othermaxRowsRange(dst, g []float64, l *bipartite.Graph, lo, hi int) {
 	}
 }
 
-// othermaxColsRange applies othermaxcol to the columns [lo, hi).
+// othermaxColsRange is othermaxcol: the same computation over the
+// columns [lo, hi) (V_B vertices) of L, using the precomputed column
+// view.
 func othermaxColsRange(dst, g []float64, l *bipartite.Graph, lo, hi int) {
 	for b := lo; b < hi; b++ {
 		edges := l.ColEdgesOf(b)
@@ -63,39 +74,4 @@ func othermaxColsRange(dst, g []float64, l *bipartite.Graph, lo, hi int) {
 			dst[e] = other
 		}
 	}
-}
-
-// othermaxRowsInto computes the paper's othermaxrow function into dst:
-// for each vertex i ∈ V_A and each incident edge (i,i'),
-//
-//	dst[(i,i')] = bound_{0,∞}( max over (i,k') ∈ E_L, k' ≠ i' of g[(i,k')] )
-//
-// i.e. every edge in a row receives the row maximum, except the
-// maximal edge itself which receives the second largest value, clamped
-// below at zero. Rows with a single edge get 0 (the max over an empty
-// set is -∞, bounded to 0). The computation is parallelized over the
-// rows (V_A vertices) with a dynamic schedule, matching Section IV-C.
-// The single-thread path avoids the parallel construct entirely: the
-// body closure escapes into it, so even a degenerate p=1 call would
-// allocate the closure each time.
-func othermaxRowsInto(dst, g []float64, l *bipartite.Graph, threads, chunk int) {
-	if parallel.Threads(threads) == 1 {
-		othermaxRowsRange(dst, g, l, 0, l.NA)
-		return
-	}
-	parallel.ForDynamic(l.NA, threads, chunk, func(lo, hi int) {
-		othermaxRowsRange(dst, g, l, lo, hi)
-	})
-}
-
-// othermaxColsInto is othermaxcol: the same computation over the
-// columns (V_B vertices) of L, using the precomputed column view.
-func othermaxColsInto(dst, g []float64, l *bipartite.Graph, threads, chunk int) {
-	if parallel.Threads(threads) == 1 {
-		othermaxColsRange(dst, g, l, 0, l.NB)
-		return
-	}
-	parallel.ForDynamic(l.NB, threads, chunk, func(lo, hi int) {
-		othermaxColsRange(dst, g, l, lo, hi)
-	})
 }

@@ -83,7 +83,7 @@ func TestOthermaxRowSmall(t *testing.T) {
 	}
 	g := []float64{3, 1, 2}
 	dst := make([]float64, 3)
-	othermaxRowsInto(dst, g, l, 1, 1)
+	othermaxRowsRange(dst, g, l, 0, l.NA)
 	want := []float64{2, 3, 3}
 	for i := range want {
 		if dst[i] != want[i] {
@@ -98,7 +98,7 @@ func TestOthermaxSingleEdgeRowClampsToZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := []float64{99}
-	othermaxRowsInto(dst, []float64{-5}, l, 1, 1)
+	othermaxRowsRange(dst, []float64{-5}, l, 0, l.NA)
 	if dst[0] != 0 {
 		t.Fatalf("single-edge row gave %g, want 0 (bound of empty max)", dst[0])
 	}
@@ -112,7 +112,7 @@ func TestOthermaxNegativeClamp(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := make([]float64, 2)
-	othermaxRowsInto(dst, []float64{-3, -7}, l, 1, 1)
+	othermaxRowsRange(dst, []float64{-3, -7}, l, 0, l.NA)
 	// Other max of edge 0 is -7 -> clamp 0; of edge 1 is -3 -> clamp 0.
 	if dst[0] != 0 || dst[1] != 0 {
 		t.Fatalf("negative othermax not clamped: %v", dst)
@@ -127,7 +127,7 @@ func TestOthermaxTies(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := make([]float64, 3)
-	othermaxRowsInto(dst, []float64{5, 5, 1}, l, 1, 1)
+	othermaxRowsRange(dst, []float64{5, 5, 1}, l, 0, l.NA)
 	// Every edge's "other max" is 5 (the tie survives exclusion).
 	if dst[0] != 5 || dst[1] != 5 || dst[2] != 5 {
 		t.Fatalf("tied othermax wrong: %v", dst)
@@ -138,7 +138,9 @@ func TestQuickOthermaxMatchesBrute(t *testing.T) {
 	f := func(seed int64, naRaw, nbRaw, thrRaw uint8) bool {
 		na := int(naRaw)%10 + 1
 		nb := int(nbRaw)%10 + 1
-		threads := int(thrRaw)%4 + 1
+		// Vertices are independent: any split into ranges (here,
+		// pieces of `piece` vertices) gives the same result.
+		piece := int(thrRaw)%4 + 1
 		rng := rand.New(rand.NewSource(seed))
 		l := randomL(rng, na, nb, 0.5)
 		g := make([]float64, l.NumEdges())
@@ -147,8 +149,12 @@ func TestQuickOthermaxMatchesBrute(t *testing.T) {
 		}
 		gotR := make([]float64, len(g))
 		gotC := make([]float64, len(g))
-		othermaxRowsInto(gotR, g, l, threads, 2)
-		othermaxColsInto(gotC, g, l, threads, 2)
+		for lo := 0; lo < l.NA; lo += piece {
+			othermaxRowsRange(gotR, g, l, lo, min(lo+piece, l.NA))
+		}
+		for lo := 0; lo < l.NB; lo += piece {
+			othermaxColsRange(gotC, g, l, lo, min(lo+piece, l.NB))
+		}
 		wantR := bruteOthermaxRow(g, l)
 		wantC := bruteOthermaxCol(g, l)
 		for i := range g {

@@ -63,7 +63,7 @@ func TestSerialCancellableSolveStaysInline(t *testing.T) {
 	solves := map[string]func(ctx context.Context) *core.AlignResult{
 		"bp": func(ctx context.Context) *core.AlignResult {
 			res, err := p.Align(ctx, core.Options{Method: core.MethodBP, BP: core.BPOptions{
-				Iterations: 10, Threads: 1, Chunk: 16, Batch: 4, TaskParallelOthermax: true,
+				Iterations: 10, Threads: 1, Chunk: 16, Batch: 4,
 				Matcher: matching.MatcherSpec{Name: "approx"},
 			}})
 			if err != nil {

@@ -8,7 +8,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"netalignmc/internal/bipartite"
 	"netalignmc/internal/graph"
@@ -41,12 +40,6 @@ type Problem struct {
 	// SRow[k] is the row of nonzero k, for loops over the nonzero
 	// index space.
 	SRow []int
-
-	// reorderViews caches the locality-reordered storage layouts of S
-	// (see reorder.go), built lazily per mode and shared by
-	// concurrent solves.
-	reorderMu    sync.Mutex
-	reorderViews map[ReorderMode]*reorderView
 }
 
 // CheckInputs reports whether (A, B, L, α, β) form a valid problem:

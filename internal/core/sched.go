@@ -17,27 +17,20 @@ import (
 type partitionSet struct {
 	prob    *Problem
 	workers int
-	view    *reorderView // S row layout the sRows offsets were built from
-	sRows   []int        // rows of S (= edges of L), cost = row nnz
-	lRows   []int        // V_A vertices of L, cost = degree
-	lCols   []int        // V_B vertices of L, cost = degree
+	sRows   []int // rows of S (= edges of L), cost = row nnz
+	lRows   []int // V_A vertices of L, cost = degree
+	lCols   []int // V_B vertices of L, cost = degree
 }
 
-// ensureParts returns the workspace's partition set for (p, workers,
-// view), rebuilding the offsets only when the problem, worker count,
-// or S row layout changed. A non-nil view partitions S's rows in
-// their reordered storage order (the order the sweeps walk them in).
-func (ws *Workspace) ensureParts(p *Problem, workers int, view *reorderView) *partitionSet {
+// ensureParts returns the workspace's partition set for (p, workers),
+// rebuilding the offsets only when the problem or worker count
+// changed.
+func (ws *Workspace) ensureParts(p *Problem, workers int) *partitionSet {
 	ps := &ws.parts
-	if ps.prob != p || ps.workers != workers || ps.view != view {
+	if ps.prob != p || ps.workers != workers {
 		ps.prob = p
 		ps.workers = workers
-		ps.view = view
-		sPtr := p.S.Ptr
-		if view != nil {
-			sPtr = view.s.Ptr
-		}
-		ps.sRows = parallel.BalancedOffsetsFromPtr(sPtr, workers, ps.sRows)
+		ps.sRows = parallel.BalancedOffsetsFromPtr(p.S.Ptr, workers, ps.sRows)
 		ps.lRows = parallel.BalancedOffsetsFromPtr(p.L.RowPtr, workers, ps.lRows)
 		ps.lCols = parallel.BalancedOffsetsFromPtr(p.L.ColPtr, workers, ps.lCols)
 	}
@@ -68,10 +61,10 @@ type exec struct {
 // newExec prepares the run's dispatcher: for more than one thread it
 // derives (or reuses) the balanced offsets and starts the per-run
 // worker pool. The caller must close the exec when the solve ends.
-func newExec(p *Problem, ws *Workspace, threads, chunk int, view *reorderView) *exec {
+func newExec(p *Problem, ws *Workspace, threads, chunk int) *exec {
 	e := &exec{threads: parallel.Threads(threads), chunk: chunk}
 	if e.threads > 1 {
-		e.parts = ws.ensureParts(p, e.threads, view)
+		e.parts = ws.ensureParts(p, e.threads)
 		e.pool = parallel.NewPool(e.threads)
 	}
 	return e
@@ -180,20 +173,10 @@ func (e *exec) forLCols(n int, body func(lo, hi int)) {
 	e.pool.ForOffsets(e.parts.lCols, body)
 }
 
-// runTasks runs coarse-grained tasks (othermax task mode): one after
-// another on the serial path, on the run pool otherwise.
-func (e *exec) runTasks(tasks []func(threads int)) {
-	if e.pool == nil {
-		for _, task := range tasks {
-			task(1)
-		}
-		return
-	}
-	e.pool.Tasks(e.threads, tasks)
-}
-
-// runTasksCtx is runTasks with cooperative cancellation: tasks not yet
-// started when ctx ends are skipped.
+// runTasksCtx runs coarse-grained tasks (BP's batched roundings): one
+// after another on the serial path, on the run pool otherwise, each
+// task receiving its share of the thread budget. Tasks not yet started
+// when ctx ends are skipped.
 func (e *exec) runTasksCtx(ctx context.Context, tasks []func(threads int)) error {
 	if e.pool == nil {
 		for _, task := range tasks {

@@ -66,10 +66,6 @@ type roundSlot struct {
 	x     []float64
 	obj   float64
 	ok    bool
-	// threads is the nested thread budget a pipelined evaluation
-	// uses, fixed at submit time to the exact budget the barrier
-	// path's pool dispatch would hand this slot (see nestedBudget).
-	threads int
 
 	// Hoisted objective folds: a closure handed to the parallel
 	// reductions escapes, so building one per evaluation would

@@ -72,8 +72,8 @@ func FigPresetNames() []string {
 
 // FigPreset returns the synthetic configuration for one of the paper's
 // Figure 4-7 scaling measurements: the Figure 2 power-law recipe at
-// the sizes where the matching barrier dominates, so pipelined
-// rounding can be measured at scale. fig4 and fig5 are the medium and
+// the sizes where the matching barrier dominates, so the rounding
+// step can be measured at scale. fig4 and fig5 are the medium and
 // large dense-candidate problems (d̄=8), fig6 is the denser d̄=10
 // variant, fig7 the largest sparse-candidate (d̄=2) one.
 func FigPreset(name string, seed int64) (SyntheticOptions, error) {

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"netalignmc/internal/cache"
-	"netalignmc/internal/core"
 	"netalignmc/internal/parallel"
 )
 
@@ -649,14 +648,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("netalignd_sched_pool_regions_total", "Parallel regions dispatched on a worker pool.", sched.PoolRegions)
 	counter("netalignd_sched_spawn_regions_total", "Parallel regions that fell back to goroutine spawning.", sched.SpawnRegions)
 	counter("netalignd_sched_shared_busy_fallbacks_total", "Free-function regions that found the shared pool occupied.", sched.SharedBusyFallbacks)
-	// Pipelined-rounding overlap: how much matching wall time solves
-	// hid behind their sweeps.
-	pipe := core.ReadPipelineCounters()
-	counter("netalignd_pipeline_runs_total", "Solves that ran with pipelined rounding engaged.", pipe.Runs)
-	counter("netalignd_pipeline_batches_total", "Rounding batches submitted to pipeline collectors.", pipe.Batches)
-	counter("netalignd_pipeline_overlap_ns_total", "Collector busy nanoseconds (rounding off the critical path).", pipe.OverlapNs)
-	counter("netalignd_pipeline_stall_ns_total", "Main-loop nanoseconds blocked on pipeline rings and drains.", pipe.StallNs)
-	counter("netalignd_pipeline_hidden_ns_total", "Rounding nanoseconds genuinely overlapped with sweeps (overlap minus stall).", pipe.HiddenNs)
 }
 
 // PublishExpvars registers the manager snapshot under the "netalignd"

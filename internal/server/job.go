@@ -127,15 +127,13 @@ type Spec struct {
 	// Fused enables BP's fused othermax+damping kernels (bit-identical
 	// iterates, fewer passes over S).
 	Fused bool `json:"fused,omitempty"`
-	// Pipeline enables pipelined batched rounding: the matching step
-	// runs on dedicated workers while the next sweep proceeds. Results
-	// are bit-identical to the barrier path, so like Fused it never
-	// enters the cache key — runs coalesce across the setting.
-	Pipeline bool `json:"pipeline,omitempty"`
-	// Reorder selects the locality reordering of S's row storage:
-	// "none" (default), "auto", "degree" or "rcm". Bit-identical and
-	// cache-key-excluded like Pipeline.
-	Reorder string `json:"reorder,omitempty"`
+	// Pipeline and Reorder are accepted and ignored (v1
+	// compatibility): old clients' requests, spooled job.json records
+	// and handoff payloads carry them and must still decode under
+	// DisallowUnknownFields. Reorder still rejects values other than
+	// none, auto, degree and rcm. Neither enters the cache key.
+	Pipeline bool   `json:"pipeline,omitempty"`
+	Reorder  string `json:"reorder,omitempty"`
 	// Threads bounds one solve's parallelism (0 = server default).
 	Threads int `json:"threads,omitempty"`
 	// TimeoutSec bounds the solve's wall time (0 = unbounded); expiry
@@ -212,8 +210,9 @@ func (s *Spec) Validate() error {
 	if err := validTenant(s.Tenant); err != nil {
 		return err
 	}
-	var reorder core.ReorderMode
-	if err := reorder.UnmarshalText([]byte(s.Reorder)); err != nil {
+	switch s.Reorder {
+	case "", "none", "auto", "degree", "rcm":
+	default:
 		return fmt.Errorf("unknown reorder mode %q (want none, auto, degree or rcm)", s.Reorder)
 	}
 	if s.Alpha < 0 || s.Beta < 0 {

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -558,4 +559,62 @@ func TestRetryCancelDuringBackoff(t *testing.T) {
 	}
 	resp.Body.Close()
 	waitState(t, ts, id, StateCancelled, 10*time.Second)
+}
+
+// TestTerminalStateVisibleOnlyOnceCounted pauses the worker inside the
+// terminal SaveMeta, after the done record reached the spool, and
+// checks that a reader who sees the job done also sees it counted in
+// the completed total: finish bumps the outcome counter before the
+// terminal state becomes visible, not after persisting it.
+func TestTerminalStateVisibleOnlyOnceCounted(t *testing.T) {
+	mgr, err := NewManager(Config{Spool: t.TempDir(), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = mgr.Shutdown(ctx)
+	}()
+	store := mgr.Store()
+	paused := make(chan struct{})
+	release := make(chan struct{})
+	var pausedOnce, releaseOnce sync.Once
+	defer releaseOnce.Do(func() { close(release) })
+	// The hook runs inside every job.json write and takes no manager
+	// lock; it pauses the first write that leaves a done record.
+	store.SetCrashHook(func(point string) error {
+		if point != "after-rename:job.json" {
+			return nil
+		}
+		ids, err := store.ListJobs()
+		if err != nil {
+			return nil
+		}
+		for _, id := range ids {
+			if meta, err := store.LoadMeta(id); err == nil && meta.State == StateDone {
+				pausedOnce.Do(func() {
+					close(paused)
+					<-release
+				})
+			}
+		}
+		return nil
+	})
+	j, err := mgr.Submit(smallSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-paused:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("job never wrote its done record (state %s)", j.Status().State)
+	}
+	if st := j.Status().State; st != StateDone {
+		t.Fatalf("job reads %s while its done record is being written", st)
+	}
+	if got := mgr.Snapshot().Completed; got < 1 {
+		t.Fatalf("job reads done while completed = %d", got)
+	}
+	releaseOnce.Do(func() { close(release) })
 }

@@ -521,8 +521,8 @@ func (m *Manager) recover() error {
 					return err
 				}
 				j.closeEvents()
-				m.jobs[j.ID] = j
 				m.counters.Quarantined.Add(1)
+				m.jobs[j.ID] = j
 				continue
 			}
 			j.resumes++
@@ -910,6 +910,7 @@ func (m *Manager) Cancel(id string) (*JobStatus, error) {
 		// solve is untouched — other jobs still depend on it.
 		j.primary = nil
 		j.cancelRequested = true
+		m.counters.Cancelled.Add(1) // counted before the state is visible
 		j.state = StateCancelled
 		j.finished = time.Now()
 		meta := j.metaLocked()
@@ -923,7 +924,6 @@ func (m *Manager) Cancel(id string) (*JobStatus, error) {
 		}
 		prim.mu.Unlock()
 		m.mu.Unlock()
-		m.counters.Cancelled.Add(1)
 		_ = m.store.SaveMeta(meta)
 		j.publish("state", j.Status())
 		j.closeEvents()
@@ -960,12 +960,12 @@ func (m *Manager) Cancel(id string) (*JobStatus, error) {
 			followers = j.followers
 			j.followers = nil
 		}
+		m.counters.Cancelled.Add(1) // counted before the state is visible
 		j.state = StateCancelled
 		j.finished = time.Now()
 		meta := j.metaLocked()
 		j.mu.Unlock()
 		m.mu.Unlock()
-		m.counters.Cancelled.Add(1)
 		_ = m.store.SaveMeta(meta)
 		j.publish("state", j.Status())
 		j.closeEvents()
@@ -1105,14 +1105,8 @@ func (m *Manager) finish(j *Job, state State, result *core.ResultJSON, errMsg st
 		j.mu.Unlock()
 		m.mu.Unlock()
 	}
-	j.mu.Lock()
-	j.state = state
-	j.errMsg = errMsg
-	j.finished = time.Now()
-	j.cancel = nil
-	meta := j.metaLocked()
-	j.mu.Unlock()
-	_ = m.store.SaveMeta(meta)
+	// Count the outcome before the terminal state becomes visible, so
+	// a reader that sees the job terminal also sees it counted.
 	switch state {
 	case StateDone:
 		m.counters.Completed.Add(1)
@@ -1126,6 +1120,14 @@ func (m *Manager) finish(j *Job, state State, result *core.ResultJSON, errMsg st
 	case StateQuarantined:
 		m.counters.Quarantined.Add(1)
 	}
+	j.mu.Lock()
+	j.state = state
+	j.errMsg = errMsg
+	j.finished = time.Now()
+	j.cancel = nil
+	meta := j.metaLocked()
+	j.mu.Unlock()
+	_ = m.store.SaveMeta(meta)
 	j.publish("state", j.Status())
 	j.closeEvents()
 	if len(followers) > 0 {
@@ -1146,6 +1148,13 @@ func (m *Manager) finish(j *Job, state State, result *core.ResultJSON, errMsg st
 func (m *Manager) completeFollower(f *Job, data []byte, iter int64) {
 	err := m.store.SaveResultBytes(f.ID, data)
 	f.iter.Store(iter)
+	// Counted before the terminal state becomes visible (see finish).
+	if err == nil {
+		m.counters.Completed.Add(1)
+		m.noteTenantCompleted(f.Spec.tenantName())
+	} else {
+		m.counters.Failed.Add(1)
+	}
 	f.mu.Lock()
 	f.primary = nil
 	f.state = StateDone
@@ -1157,12 +1166,6 @@ func (m *Manager) completeFollower(f *Job, data []byte, iter int64) {
 	meta := f.metaLocked()
 	f.mu.Unlock()
 	_ = m.store.SaveMeta(meta)
-	if meta.State == StateDone {
-		m.counters.Completed.Add(1)
-		m.noteTenantCompleted(f.Spec.tenantName())
-	} else {
-		m.counters.Failed.Add(1)
-	}
 	f.publish("state", f.Status())
 	f.closeEvents()
 }
@@ -1567,16 +1570,8 @@ func (m *Manager) run(j *Job) {
 		})
 	}
 
-	// Pipeline and reorder are execution-layout choices with
-	// bit-identical results, so they never enter the cache key. (MR's
-	// pipeline disengages under the heartbeat observer; BP's overlaps.)
-	var reorder core.ReorderOptions
-	_ = reorder.Mode.UnmarshalText([]byte(spec.Reorder)) // validated at admission
-
 	res, runErr := p.Align(runCtx, core.Options{
-		Method:   method,
-		Pipeline: core.PipelineOptions{Enabled: spec.Pipeline},
-		Reorder:  reorder,
+		Method: method,
 		BP: core.BPOptions{
 			Iterations: spec.Iterations, Gamma: spec.Gamma, Batch: spec.Batch,
 			Threads: threads, Matcher: mspec, FuseKernels: spec.Fused, Timer: m.timer,

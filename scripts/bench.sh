@@ -14,8 +14,6 @@
 #   ITERS     solver iterations per run       (default: 40)
 #   REPS      repetitions, fastest reported   (default: 3)
 #   CONFIGS   space-separated config names    (default: "fig2-bp fig2-mr")
-#   PIPELINE  when non-empty, run with -pipeline (pipelined rounding;
-#             bit-identical, so objectives must match barrier runs)
 #   CHECK     when non-empty, also gate allocs/iter against the
 #             $BASELINE_LABEL-labeled entries (default "baseline") of
 #             $CHECK_DOC (default: the output document), with ratio
@@ -44,13 +42,13 @@ go build -o "$BIN" ./cmd/benchalign
 
 for cfg in $CONFIGS; do
     "$BIN" -config "$cfg" -threads "$THREADS" -iters "$ITERS" -reps "$REPS" \
-        ${PIPELINE:+-pipeline} -label "$LABEL" -out "$OUT"
+        -label "$LABEL" -out "$OUT"
 done
 
 if [ -n "${CHECK:-}" ]; then
     for cfg in $CONFIGS; do
         "$BIN" -config "$cfg" -threads "$THREADS" -iters "$ITERS" -reps 1 \
-            ${PIPELINE:+-pipeline} -check "$CHECK_DOC" -baseline-label "$BASELINE_LABEL" \
+            -check "$CHECK_DOC" -baseline-label "$BASELINE_LABEL" \
             -max-alloc-ratio "$MAX_ALLOC_RATIO"
     done
 fi
