@@ -243,7 +243,7 @@ func BenchmarkAblationBatchSize(b *testing.B) {
 		b.Run(fmt.Sprintf("batch%d", batch), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				p.BPAlign(core.BPOptions{
-					Iterations: 5, Batch: batch, Rounding: matching.Approx,
+					Iterations: 5, Batch: batch, Matcher: matching.MatcherSpec{Name: "approx"},
 					SkipFinalExact: true,
 				})
 			}
@@ -302,7 +302,7 @@ func BenchmarkComplexityPerNonzero(b *testing.B) {
 		b.Run(fmt.Sprintf("scale%g", scale), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				p.BPAlign(core.BPOptions{
-					Iterations: 1, Rounding: matching.Approx, SkipFinalExact: true,
+					Iterations: 1, Matcher: matching.MatcherSpec{Name: "approx"}, SkipFinalExact: true,
 				})
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/units, "ns/unit")
@@ -324,7 +324,7 @@ func BenchmarkAblationRowMatch(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				r := p.KlauAlign(core.MROptions{
 					Iterations: 5, GreedyRowMatch: greedy,
-					Rounding: matching.Approx, SkipFinalExact: true,
+					Matcher: matching.MatcherSpec{Name: "approx"}, SkipFinalExact: true,
 				})
 				obj = r.Objective
 			}

@@ -8,8 +8,7 @@
 // reports ns per iteration, allocations per iteration (from
 // runtime.MemStats deltas), bytes per iteration, the per-step
 // StepTimer breakdown, and the final objective (so perf entries double
-// as a correctness cross-check: fused and unfused kernels must agree
-// bit for bit).
+// as a correctness cross-check).
 //
 // Usage:
 //
@@ -60,7 +59,6 @@ func main() {
 		seed       = flag.Int64("seed", 1, "problem seed")
 		label      = flag.String("label", "dev", "label recorded on each run entry")
 		matcher    = flag.String("matcher", "approx", "rounding matcher spec (e.g. exact, approx, suitor, auction(eps=1e-4))")
-		fused      = flag.Bool("fused", true, "use the fused othermax+damping kernels (BP)")
 		figs       = flag.Bool("figs", false, "figure mode: sweep the fig4..fig7 configurations and emit the speedup/per-step curves (-out JSON, -report markdown)")
 		figScale   = flag.Float64("fig-scale", 1, "-figs: scale each preset's vertex count by this factor in (0,1]")
 		report     = flag.String("report", "", "-figs: write the markdown report to this file")
@@ -155,7 +153,6 @@ func main() {
 		Seed:    *seed,
 		Label:   *label,
 		Matcher: *matcher,
-		Fused:   *fused,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchalign: %v\n", err)

@@ -63,7 +63,6 @@ func run() int {
 		mstep   = flag.Int("mstep", 10, "mr: stall window before halving the step size")
 		approx  = flag.Bool("approx", false, "round with the parallel half-approximate matcher instead of exact matching")
 		matcher = flag.String("matcher", "", "rounding matcher spec (exact, approx, suitor, greedy, locally-dominant(sorted=true), ...); overrides -approx")
-		fused   = flag.Bool("fused", false, "bp: fuse the othermax and damping sweeps (bit-identical, fewer passes over S)")
 		threads = flag.Int("threads", 0, "worker threads (0 = GOMAXPROCS)")
 
 		timing  = flag.Bool("timing", false, "print the per-step time breakdown")
@@ -116,7 +115,7 @@ func run() int {
 
 	res, err := cli.Align(p, cli.AlignOptions{
 		Method: *method, Iters: *iters, Batch: *batch, Gamma: *gamma,
-		MStep: *mstep, Approx: *approx, Matcher: *matcher, Fused: *fused,
+		MStep: *mstep, Approx: *approx, Matcher: *matcher,
 		Threads: *threads,
 		Timing:  *timing, Trace: *trace,
 		Timeout: *timeout, CheckpointPath: *checkpoint,

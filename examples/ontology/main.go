@@ -30,7 +30,7 @@ func main() {
 			Iterations: iters,
 			Batch:      batch,
 			Gamma:      0.99,
-			Rounding:   netalignmc.ApproxMatcher,
+			Matcher:    netalignmc.MatcherSpec{Name: "approx"},
 			Timer:      timer,
 		})
 		fmt.Printf("BP(batch=%-2d): objective=%.2f overlap=%.0f elapsed=%v\n",

@@ -39,13 +39,13 @@ func main() {
 		return p.BPAlign(netalignmc.BPOptions{Iterations: iters})
 	})
 	run("BP approx", func() *netalignmc.AlignResult {
-		return p.BPAlign(netalignmc.BPOptions{Iterations: iters, Rounding: netalignmc.ApproxMatcher})
+		return p.BPAlign(netalignmc.BPOptions{Iterations: iters, Matcher: netalignmc.MatcherSpec{Name: "approx"}})
 	})
 	run("MR exact", func() *netalignmc.AlignResult {
 		return p.KlauAlign(netalignmc.MROptions{Iterations: iters})
 	})
 	run("MR approx", func() *netalignmc.AlignResult {
-		return p.KlauAlign(netalignmc.MROptions{Iterations: iters, Rounding: netalignmc.ApproxMatcher})
+		return p.KlauAlign(netalignmc.MROptions{Iterations: iters, Matcher: netalignmc.MatcherSpec{Name: "approx"}})
 	})
 
 	fmt.Println("\nExpected shape (paper Figs 2-3): the two BP rows nearly identical;")

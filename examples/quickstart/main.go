@@ -42,7 +42,7 @@ func main() {
 
 	res := p.BPAlign(netalignmc.BPOptions{
 		Iterations: 50,
-		Rounding:   netalignmc.ApproxMatcher, // parallel half-approximate rounding
+		Matcher:    netalignmc.MatcherSpec{Name: "approx"}, // parallel half-approximate rounding
 	})
 
 	fmt.Printf("objective:    %.3f\n", res.Objective)

@@ -25,7 +25,7 @@ func main() {
 	solve := func(p *netalignmc.Problem) *netalignmc.AlignResult {
 		return p.BPAlign(netalignmc.BPOptions{
 			Iterations: 60,
-			Rounding:   netalignmc.ApproxMatcher,
+			Matcher:    netalignmc.MatcherSpec{Name: "approx"},
 		})
 	}
 	res := solve(p)

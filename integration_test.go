@@ -55,9 +55,9 @@ func TestEndToEndPipeline(t *testing.T) {
 	// on the rough solution quality for this easy planted instance.
 	results := map[string]*netalignmc.AlignResult{
 		"bp-exact":  p3.BPAlign(netalignmc.BPOptions{Iterations: 30}),
-		"bp-approx": p3.BPAlign(netalignmc.BPOptions{Iterations: 30, Rounding: netalignmc.ApproxMatcher, Batch: 10}),
+		"bp-approx": p3.BPAlign(netalignmc.BPOptions{Iterations: 30, Matcher: netalignmc.MatcherSpec{Name: "approx"}, Batch: 10}),
 		"mr-exact":  p3.KlauAlign(netalignmc.MROptions{Iterations: 30}),
-		"mr-approx": p3.KlauAlign(netalignmc.MROptions{Iterations: 30, Rounding: netalignmc.ApproxMatcher}),
+		"mr-approx": p3.KlauAlign(netalignmc.MROptions{Iterations: 30, Matcher: netalignmc.MatcherSpec{Name: "approx"}}),
 	}
 	idObj := p3.Objective(p3.IdentityIndicator(), 0)
 	for name, r := range results {

@@ -103,7 +103,6 @@ type Run struct {
 	Config     string `json:"config"`
 	Method     string `json:"method"`
 	Matcher    string `json:"matcher"`
-	Fused      bool   `json:"fused"`
 	Threads    int    `json:"threads"`
 	Iterations int    `json:"iterations"`
 	Reps       int    `json:"reps"`
@@ -331,8 +330,6 @@ type MeasureOptions struct {
 	Label   string
 	// Matcher is the rounding matcher spec text (empty = approx).
 	Matcher string
-	// Fused selects the fused othermax+damping kernels (BP only).
-	Fused bool
 	// ScaleN scales the configuration's vertex count (0 or 1 = full
 	// size); used by Figs to shrink the Fig 4-7 problems.
 	ScaleN float64
@@ -408,7 +405,7 @@ func measureOne(p *core.Problem, cfg Config, o MeasureOptions, spec matching.Mat
 		case "bp":
 			res, err := p.Align(context.Background(), core.Options{Method: core.MethodBP, BP: core.BPOptions{
 				Iterations: o.Iters, Batch: cfg.Batch, Threads: threads,
-				Matcher: spec, FuseKernels: o.Fused, Workspace: ws,
+				Matcher: spec, Workspace: ws,
 				SkipFinalExact: true, Timer: timer,
 			}})
 			return res, err
@@ -431,8 +428,7 @@ func measureOne(p *core.Problem, cfg Config, o MeasureOptions, spec matching.Mat
 
 	run := Run{
 		Label: o.Label, Config: cfg.Name, Method: cfg.Method, Matcher: spec.String(),
-		Fused: o.Fused && cfg.Method == "bp", Threads: threads,
-		Iterations: o.Iters, Reps: o.Reps, Seed: o.Seed,
+		Threads: threads, Iterations: o.Iters, Reps: o.Reps, Seed: o.Seed,
 		Recorded: time.Now().UTC().Format(time.RFC3339),
 	}
 	var ms0, ms1 runtime.MemStats

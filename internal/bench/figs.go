@@ -56,7 +56,7 @@ func Figs(o FigsOptions) (*FigsDoc, error) {
 	for _, cfg := range FigConfigs() {
 		runs, err := MeasureConfig(cfg, MeasureOptions{
 			Threads: o.Threads, Iters: o.Iters, Reps: o.Reps,
-			Seed: o.Seed, Label: o.Label, Fused: cfg.Method == "bp",
+			Seed: o.Seed, Label: o.Label,
 			ScaleN: o.Scale,
 		})
 		if err != nil {

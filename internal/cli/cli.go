@@ -107,9 +107,6 @@ type AlignOptions struct {
 	// is the one configuration surface for the rounding matcher; when
 	// empty, Approx picks between "approx" and "exact".
 	Matcher string
-	// Fused enables the fused othermax+damping kernels (BP only; the
-	// iterates are bit-identical to the unfused path).
-	Fused   bool
 	Threads int
 	Timing  bool
 	Trace   bool
@@ -279,7 +276,7 @@ func Align(p *core.Problem, o AlignOptions, out io.Writer) (*core.AlignResult, e
 			Method: method,
 			BP: core.BPOptions{
 				Iterations: o.Iters, Gamma: o.Gamma, Batch: o.Batch,
-				Threads: o.Threads, Matcher: spec, FuseKernels: o.Fused,
+				Threads: o.Threads, Matcher: spec,
 				Timer: timer, Trace: o.Trace,
 				Observer: bpObserver,
 				Resume:   resume, CheckpointEvery: ckptEvery, CheckpointFunc: ckptFunc,

@@ -96,7 +96,7 @@ func TestAdmissionRejectsBadSpecs(t *testing.T) {
 }
 
 // TestRouterLegacyLayoutFields: through the router, a spec carrying the
-// v1 "pipeline" and "reorder" fields (accepted and ignored) keys and
+// v1 "pipeline", "reorder" and "fused" fields (accepted and ignored) keys and
 // routes like the bare spec — it lands on the bare spec's owner as a
 // cache hit with byte-identical result bytes — and an unknown reorder
 // value is still relayed as 400 bad_request with the node's message.
@@ -110,6 +110,7 @@ func TestRouterLegacyLayoutFields(t *testing.T) {
 	legacy := bare
 	legacy.Pipeline = true
 	legacy.Reorder = "rcm"
+	legacy.Fused = true
 
 	st1 := submitOK(t, rt.URL, bare)
 	waitDone(t, rt.URL, st1.ID)
@@ -117,11 +118,11 @@ func TestRouterLegacyLayoutFields(t *testing.T) {
 	st2 := submitOK(t, rt.URL, legacy)
 	waitDone(t, rt.URL, st2.ID)
 	if got := getResultBytes(t, rt.URL, st2.ID); !bytes.Equal(got, want) {
-		t.Fatal("result with pipeline/reorder differs from the bare spec's")
+		t.Fatal("result with pipeline/reorder/fused differs from the bare spec's")
 	}
 	owner := findOwner(t, []*testNode{a, b}, st1.ID)
 	if findOwner(t, []*testNode{a, b}, st2.ID) != owner {
-		t.Error("spec with pipeline/reorder routed to a different owner than the bare spec")
+		t.Error("spec with pipeline/reorder/fused routed to a different owner than the bare spec")
 	}
 	if m := owner.mgr.Snapshot(); m.CacheHits < 1 {
 		t.Errorf("owner cache hits = %d, want >= 1 (same cache key)", m.CacheHits)

@@ -789,42 +789,30 @@ func (r *Router) handleReadyz(w http.ResponseWriter, req *http.Request) {
 // answers both "is the ring balanced" and "what is the fleet doing".
 func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-
-	fmt.Fprintf(w, "# HELP netalignrouter_backends Configured backends.\n# TYPE netalignrouter_backends gauge\nnetalignrouter_backends %d\n", len(r.nodes))
-	fmt.Fprint(w, "# HELP netalignrouter_node_up 1 while the backend passes readiness probes.\n# TYPE netalignrouter_node_up gauge\n")
-	for _, n := range r.nodes {
-		up := 0
-		if r.monitor.IsUp(n) {
-			up = 1
-		}
-		fmt.Fprintf(w, "netalignrouter_node_up{node=%q} %d\n", n, up)
-	}
-	fmt.Fprint(w, "# HELP netalignrouter_forwarded_total Submissions accepted per backend.\n# TYPE netalignrouter_forwarded_total counter\n")
-	for _, n := range r.nodes {
-		fmt.Fprintf(w, "netalignrouter_forwarded_total{node=%q} %d\n", n, r.forwarded[n].Value())
-	}
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	counter("netalignrouter_failover_total", "Submissions moved past an unavailable owner to a ring successor.", r.failovers.Value())
-	counter("netalignrouter_unroutable_total", "Submissions refused because no backend would take them.", r.unroutable.Value())
-	counter("netalignrouter_ring_rebalance_total", "Ring membership transitions (nodes joining or leaving the up-set).", r.rebalances.Value())
-	counter("netalignrouter_owner_fanout_total", "Per-job requests resolved by fan-out owner lookup.", r.ownerMiss.Value())
-	counter("netalignrouter_hedged_total", "Secondary requests issued for slow or failed idempotent reads.", r.hedged.Value())
-	counter("netalignrouter_hedge_wins_total", "Hedged reads answered first by the secondary.", r.hedgeWins.Value())
+	pw := server.PromWriter{W: w}
+	pw.Gauge("netalignrouter_backends", "Configured backends.", len(r.nodes))
+	pw.Labeled("netalignrouter_node_up", "1 while the backend passes readiness probes.", "gauge", "node", r.nodes,
+		func(n string) any {
+			if r.monitor.IsUp(n) {
+				return 1
+			}
+			return 0
+		})
+	pw.Labeled("netalignrouter_forwarded_total", "Submissions accepted per backend.", "counter", "node", r.nodes, func(n string) any { return r.forwarded[n].Value() })
+	pw.Counter("netalignrouter_failover_total", "Submissions moved past an unavailable owner to a ring successor.", r.failovers.Value())
+	pw.Counter("netalignrouter_unroutable_total", "Submissions refused because no backend would take them.", r.unroutable.Value())
+	pw.Counter("netalignrouter_ring_rebalance_total", "Ring membership transitions (nodes joining or leaving the up-set).", r.rebalances.Value())
+	pw.Counter("netalignrouter_owner_fanout_total", "Per-job requests resolved by fan-out owner lookup.", r.ownerMiss.Value())
+	pw.Counter("netalignrouter_hedged_total", "Secondary requests issued for slow or failed idempotent reads.", r.hedged.Value())
+	pw.Counter("netalignrouter_hedge_wins_total", "Hedged reads answered first by the secondary.", r.hedgeWins.Value())
 
 	// Aggregate rollup: sum each reachable node's snapshot. Nodes that
 	// fail the scrape are skipped and counted, so a partial rollup is
 	// visible as such rather than silently low.
-	type nodeMetrics struct {
-		node string
-		m    *server.Metrics
-	}
 	var (
 		wg      sync.WaitGroup
 		mu      sync.Mutex
-		results []nodeMetrics
-		scraped int64
+		scraped = make(map[string]*server.Metrics)
 	)
 	for _, n := range r.nodes {
 		if !r.monitor.IsUp(n) {
@@ -838,34 +826,31 @@ func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 				return
 			}
 			mu.Lock()
-			results = append(results, nodeMetrics{n, m})
-			scraped++
+			scraped[n] = m
 			mu.Unlock()
 		}(n)
 	}
 	wg.Wait()
-	sort.Slice(results, func(i, j int) bool { return results[i].node < results[j].node })
 
-	fmt.Fprintf(w, "# HELP netalignrouter_nodes_scraped Backends whose metrics contributed to the cluster rollup.\n# TYPE netalignrouter_nodes_scraped gauge\nnetalignrouter_nodes_scraped %d\n", scraped)
+	pw.Gauge("netalignrouter_nodes_scraped", "Backends whose metrics contributed to the cluster rollup.", len(scraped))
+	pw.Labeled("netalignrouter_node_jobs_submitted_total", "Jobs accepted per backend.", "counter", "node", server.SortedKeys(scraped), func(n string) any { return scraped[n].Submitted })
 	var agg struct {
 		submitted, completed, failed, coalesced int64
 		cacheHits, cacheMisses, peerFills       int64
 		queueDepth, running                     int64
 	}
 	tenantAgg := make(map[string]*server.TenantMetrics)
-	fmt.Fprint(w, "# HELP netalignrouter_node_jobs_submitted_total Jobs accepted per backend.\n# TYPE netalignrouter_node_jobs_submitted_total counter\n")
-	for _, nm := range results {
-		fmt.Fprintf(w, "netalignrouter_node_jobs_submitted_total{node=%q} %d\n", nm.node, nm.m.Submitted)
-		agg.submitted += nm.m.Submitted
-		agg.completed += nm.m.Completed
-		agg.failed += nm.m.Failed
-		agg.coalesced += nm.m.Coalesced
-		agg.cacheHits += nm.m.CacheHits
-		agg.cacheMisses += nm.m.CacheMisses
-		agg.peerFills += nm.m.PeerFills
-		agg.queueDepth += int64(nm.m.QueueDepth)
-		agg.running += int64(nm.m.Running)
-		for name, tm := range nm.m.Tenants {
+	for _, m := range scraped {
+		agg.submitted += m.Submitted
+		agg.completed += m.Completed
+		agg.failed += m.Failed
+		agg.coalesced += m.Coalesced
+		agg.cacheHits += m.CacheHits
+		agg.cacheMisses += m.CacheMisses
+		agg.peerFills += m.PeerFills
+		agg.queueDepth += int64(m.QueueDepth)
+		agg.running += int64(m.Running)
+		for name, tm := range m.Tenants {
 			t := tenantAgg[name]
 			if t == nil {
 				t = &server.TenantMetrics{}
@@ -879,42 +864,26 @@ func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 			t.Shed += tm.Shed
 		}
 	}
-	counter("netalignrouter_cluster_jobs_submitted_total", "Jobs accepted across the cluster.", agg.submitted)
-	counter("netalignrouter_cluster_jobs_completed_total", "Jobs finished done across the cluster.", agg.completed)
-	counter("netalignrouter_cluster_jobs_failed_total", "Jobs finished failed across the cluster.", agg.failed)
-	counter("netalignrouter_cluster_jobs_coalesced_total", "Submissions coalesced onto identical inflight jobs across the cluster.", agg.coalesced)
-	counter("netalignrouter_cluster_cache_hits_total", "Result-cache hits across the cluster.", agg.cacheHits)
-	counter("netalignrouter_cluster_cache_misses_total", "Result-cache misses across the cluster.", agg.cacheMisses)
-	counter("netalignrouter_cluster_peer_fill_total", "Peer cache fills across the cluster.", agg.peerFills)
-	fmt.Fprintf(w, "# HELP netalignrouter_cluster_queue_depth Queued jobs across the cluster.\n# TYPE netalignrouter_cluster_queue_depth gauge\nnetalignrouter_cluster_queue_depth %d\n", agg.queueDepth)
-	fmt.Fprintf(w, "# HELP netalignrouter_cluster_jobs_running Running jobs across the cluster.\n# TYPE netalignrouter_cluster_jobs_running gauge\nnetalignrouter_cluster_jobs_running %d\n", agg.running)
+	pw.Counter("netalignrouter_cluster_jobs_submitted_total", "Jobs accepted across the cluster.", agg.submitted)
+	pw.Counter("netalignrouter_cluster_jobs_completed_total", "Jobs finished done across the cluster.", agg.completed)
+	pw.Counter("netalignrouter_cluster_jobs_failed_total", "Jobs finished failed across the cluster.", agg.failed)
+	pw.Counter("netalignrouter_cluster_jobs_coalesced_total", "Submissions coalesced onto identical inflight jobs across the cluster.", agg.coalesced)
+	pw.Counter("netalignrouter_cluster_cache_hits_total", "Result-cache hits across the cluster.", agg.cacheHits)
+	pw.Counter("netalignrouter_cluster_cache_misses_total", "Result-cache misses across the cluster.", agg.cacheMisses)
+	pw.Counter("netalignrouter_cluster_peer_fill_total", "Peer cache fills across the cluster.", agg.peerFills)
+	pw.Gauge("netalignrouter_cluster_queue_depth", "Queued jobs across the cluster.", agg.queueDepth)
+	pw.Gauge("netalignrouter_cluster_jobs_running", "Running jobs across the cluster.", agg.running)
 
 	// Per-tenant cluster rollup: one labeled series per tenant summed
 	// across every scraped node, so a fleet operator sees each tenant's
 	// aggregate demand without scraping nodes individually.
 	if len(tenantAgg) > 0 {
-		tenants := make([]string, 0, len(tenantAgg))
-		for name := range tenantAgg {
-			tenants = append(tenants, name)
-		}
-		sort.Strings(tenants)
-		tseries := func(name, help, typ string, f func(*server.TenantMetrics) int64) {
-			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-			for _, t := range tenants {
-				fmt.Fprintf(w, "%s{tenant=%q} %d\n", name, t, f(tenantAgg[t]))
-			}
-		}
-		tseries("netalignrouter_cluster_tenant_queue_depth", "Queued jobs per tenant across the cluster.", "gauge",
-			func(t *server.TenantMetrics) int64 { return int64(t.Queued) })
-		tseries("netalignrouter_cluster_tenant_jobs_running", "Running jobs per tenant across the cluster.", "gauge",
-			func(t *server.TenantMetrics) int64 { return int64(t.Running) })
-		tseries("netalignrouter_cluster_tenant_jobs_submitted_total", "Jobs accepted per tenant across the cluster.", "counter",
-			func(t *server.TenantMetrics) int64 { return t.Submitted })
-		tseries("netalignrouter_cluster_tenant_jobs_completed_total", "Jobs finished done per tenant across the cluster.", "counter",
-			func(t *server.TenantMetrics) int64 { return t.Completed })
-		tseries("netalignrouter_cluster_tenant_jobs_preempted_total", "Batch runs checkpoint-preempted per tenant across the cluster.", "counter",
-			func(t *server.TenantMetrics) int64 { return t.Preempted })
-		tseries("netalignrouter_cluster_tenant_jobs_shed_total", "Submissions refused per tenant across the cluster.", "counter",
-			func(t *server.TenantMetrics) int64 { return t.Shed })
+		tenants := server.SortedKeys(tenantAgg)
+		pw.Labeled("netalignrouter_cluster_tenant_queue_depth", "Queued jobs per tenant across the cluster.", "gauge", "tenant", tenants, func(t string) any { return tenantAgg[t].Queued })
+		pw.Labeled("netalignrouter_cluster_tenant_jobs_running", "Running jobs per tenant across the cluster.", "gauge", "tenant", tenants, func(t string) any { return tenantAgg[t].Running })
+		pw.Labeled("netalignrouter_cluster_tenant_jobs_submitted_total", "Jobs accepted per tenant across the cluster.", "counter", "tenant", tenants, func(t string) any { return tenantAgg[t].Submitted })
+		pw.Labeled("netalignrouter_cluster_tenant_jobs_completed_total", "Jobs finished done per tenant across the cluster.", "counter", "tenant", tenants, func(t string) any { return tenantAgg[t].Completed })
+		pw.Labeled("netalignrouter_cluster_tenant_jobs_preempted_total", "Batch runs checkpoint-preempted per tenant across the cluster.", "counter", "tenant", tenants, func(t string) any { return tenantAgg[t].Preempted })
+		pw.Labeled("netalignrouter_cluster_tenant_jobs_shed_total", "Submissions refused per tenant across the cluster.", "counter", "tenant", tenants, func(t string) any { return tenantAgg[t].Shed })
 	}
 }

@@ -69,8 +69,8 @@ func TestBPApproxMatchesExactQuality(t *testing.T) {
 	// is nearly indistinguishable from BP with exact rounding, because
 	// the iterates do not depend on the matcher.
 	p := smallSynthetic(t, 11)
-	exact := p.BPAlign(core.BPOptions{Iterations: 30, Rounding: matching.Exact})
-	approx := p.BPAlign(core.BPOptions{Iterations: 30, Rounding: matching.Approx})
+	exact := p.BPAlign(core.BPOptions{Iterations: 30})
+	approx := p.BPAlign(core.BPOptions{Iterations: 30, Matcher: matching.MatcherSpec{Name: "approx"}})
 	if approx.Objective < 0.9*exact.Objective {
 		t.Fatalf("BP approx objective %g far below exact %g", approx.Objective, exact.Objective)
 	}
@@ -82,8 +82,8 @@ func TestBPIteratesIndependentOfMatcher(t *testing.T) {
 	// verify by tracing both and comparing the best heuristic's exact
 	// rounding (they used the same iterate stream).
 	p := smallSynthetic(t, 13)
-	a := p.BPAlign(core.BPOptions{Iterations: 25, Rounding: matching.Exact, Trace: true})
-	b := p.BPAlign(core.BPOptions{Iterations: 25, Rounding: matching.Approx, Trace: true})
+	a := p.BPAlign(core.BPOptions{Iterations: 25, Trace: true})
+	b := p.BPAlign(core.BPOptions{Iterations: 25, Matcher: matching.MatcherSpec{Name: "approx"}, Trace: true})
 	if len(a.ObjectiveTrace) != len(b.ObjectiveTrace) {
 		t.Fatalf("trace lengths differ: %d vs %d", len(a.ObjectiveTrace), len(b.ObjectiveTrace))
 	}
@@ -119,7 +119,7 @@ func TestKlauApproxDegradesOrMatches(t *testing.T) {
 	// validity and that exact MR is at least as good on this instance.
 	p := smallSynthetic(t, 23)
 	exact := p.KlauAlign(core.MROptions{Iterations: 30})
-	approx := p.KlauAlign(core.MROptions{Iterations: 30, Rounding: matching.Approx})
+	approx := p.KlauAlign(core.MROptions{Iterations: 30, Matcher: matching.MatcherSpec{Name: "approx"}})
 	if err := approx.Matching.Validate(p.L); err != nil {
 		t.Fatal(err)
 	}

@@ -72,31 +72,13 @@ type BPOptions struct {
 	// sweeps themselves split their index spaces by nnz-balanced
 	// partitions (see DESIGN.md §4), so Chunk never changes the output.
 	Chunk int
-	// Rounding is the matcher used to round iterates; nil selects
-	// exact matching, matching.Approx gives the paper's substitution.
-	// Unlike MR, BP's iterate sequence is independent of this choice —
-	// rounding only evaluates quality (Section VII).
-	//
-	// Deprecated: set Matcher instead. A non-nil Rounding still wins
-	// for compatibility, but it forfeits the reusable matcher scratch
-	// (the solver cannot see inside a func value), so the rounding
-	// step allocates every iteration.
-	Rounding matching.Matcher
 	// Matcher declaratively selects the rounding matcher (the zero
-	// value is exact matching, preserving the historical default).
-	// The solver builds one reusable matcher per batch slot from it,
-	// which is what makes steady-state rounding allocation-free.
+	// value is exact matching; {Name: "approx"} gives the paper's
+	// substitution). Unlike MR, BP's iterate sequence is independent of
+	// this choice — rounding only evaluates quality (Section VII). The
+	// solver builds one reusable matcher per batch slot from it, which
+	// is what makes steady-state rounding allocation-free.
 	Matcher matching.MatcherSpec
-	// FuseKernels fuses the othermax-subtraction and damping passes
-	// into one edge-indexed sweep, and the S-update and S-damping
-	// passes into a single S-indexed sweep — one read of S's nonzeros
-	// per iteration instead of two. The arithmetic is evaluated in the
-	// same order as the unfused path, so iterates are bit-identical.
-	// Ignored (the unfused path runs) when Faults is set, since the
-	// fault hooks target the per-step intermediate vectors. The
-	// per-step timer then reports the fused sweeps under the othermax
-	// and updateS names and records nothing under damping.
-	FuseKernels bool
 	// Workspace supplies reusable solver buffers; nil allocates a
 	// private one for the solve. Handing the same workspace to
 	// successive solves on same-shaped problems removes the per-solve
@@ -221,8 +203,7 @@ func (p *Problem) bpAlign(ctx context.Context, o BPOptions) (*AlignResult, error
 		ws = NewWorkspace()
 	}
 	ws.ensureBP(mEL, nnz)
-	key, mk := matcherFactory(opts.Rounding, opts.Matcher)
-	if err := ws.ensureRound(p, key, mk, opts.Batch+1); err != nil {
+	if err := ws.ensureRound(p, opts.Matcher, opts.Batch+1); err != nil {
 		res := p.emptyResult()
 		res.Err = err
 		return res, err
@@ -237,7 +218,6 @@ func (p *Problem) bpAlign(ctx context.Context, o BPOptions) (*AlignResult, error
 	yPrev, zPrev := ws.yPrev, ws.zPrev
 	sk, skPrev := ws.sk, ws.skPrev
 	d, om, om2, f := ws.d, ws.om, ws.om2, ws.f
-	yu, zu := ws.yu, ws.zu
 	zeroFloat64(y, z, yPrev, zPrev, sk, skPrev)
 	gammaK := 1.0
 	startIter := 1
@@ -282,10 +262,8 @@ func (p *Problem) bpAlign(ctx context.Context, o BPOptions) (*AlignResult, error
 	ptr := p.S.Ptr
 	alpha := p.Alpha
 
-	fused := opts.FuseKernels && opts.Faults == nil
-
 	// g is the current iteration's damping weight, set before the
-	// damping (or fused) sweeps run; the kernels read it by capture.
+	// damping sweeps run; the kernels read it by capture.
 	var g float64
 
 	// The kernel closures are hoisted out of the iteration loop: a
@@ -340,27 +318,6 @@ func (p *Problem) bpAlign(ctx context.Context, o BPOptions) (*AlignResult, error
 			sk[k] = g*sk[k] + (1-g)*skPrev[k]
 		}
 	}
-	// Fused sweeps: the same float operations in the same order as the
-	// unfused pairs above, evaluated in one pass over each index
-	// space. The undamped values (yu, zu) are kept because the S
-	// update consumes them.
-	fusedEdges := func(lo, hi int) {
-		for e := lo; e < hi; e++ {
-			yv := d[e] - om2[e]
-			zv := d[e] - om[e]
-			yu[e] = yv
-			zu[e] = zv
-			y[e] = g*yv + (1-g)*yPrev[e]
-			z[e] = g*zv + (1-g)*zPrev[e]
-		}
-	}
-	fusedS := func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			r := sRow[k]
-			t := (yu[r]+zu[r]-d[r])*sVal[k] - f[k]
-			sk[k] = g*t + (1-g)*skPrev[k]
-		}
-	}
 	// The othermax scans read yPrev/zPrev through capture so the
 	// post-damping swaps stay visible; dispatched over L's vertex sets
 	// with the degree-balanced partitions.
@@ -381,11 +338,6 @@ func (p *Problem) bpAlign(ctx context.Context, o BPOptions) (*AlignResult, error
 		e.forEdges(mEL, dampEdges)
 		e.forNNZ(ctx, nnz, dampS)
 	}
-	step3Fused := func() {
-		othermaxScan()
-		e.forEdges(mEL, fusedEdges)
-	}
-	step4Fused := func() { e.forNNZ(ctx, nnz, fusedS) }
 
 	// Pending rounding slots (the batch) and their parallel tasks.
 	pendLen := 0
@@ -464,8 +416,7 @@ loop:
 			opts.Faults.CorruptVector(BPStepComputeD, iter, d)
 		}
 
-		// The damping weight for this iteration is fixed before the
-		// sweeps so the fused kernels can blend as they write.
+		// Step 5's damping weight for this iteration.
 		gammaK *= opts.Gamma
 		switch opts.Damp {
 		case DampConstant:
@@ -477,20 +428,15 @@ loop:
 		}
 		g *= guard.tighten
 
-		if fused {
-			timer.Time(BPStepOthermax, step3Fused)
-			timer.Time(BPStepUpdateS, step4Fused)
-		} else {
-			timer.Time(BPStepOthermax, step3)
-			if opts.Faults != nil {
-				opts.Faults.CorruptVector(BPStepOthermax, iter, y)
-			}
-			timer.Time(BPStepUpdateS, step4)
-			if opts.Faults != nil {
-				opts.Faults.CorruptVector(BPStepUpdateS, iter, sk)
-			}
-			timer.Time(BPStepDamping, step5)
+		timer.Time(BPStepOthermax, step3)
+		if opts.Faults != nil {
+			opts.Faults.CorruptVector(BPStepOthermax, iter, y)
 		}
+		timer.Time(BPStepUpdateS, step4)
+		if opts.Faults != nil {
+			opts.Faults.CorruptVector(BPStepUpdateS, iter, sk)
+		}
+		timer.Time(BPStepDamping, step5)
 		y, yPrev = yPrev, y
 		z, zPrev = zPrev, z
 		sk, skPrev = skPrev, sk

@@ -17,16 +17,13 @@ import (
 //   - Threads, Chunk: the dispatch layer. Chunk is only the
 //     context-poll and task-chunk granularity, and thread counts agree
 //     to float reduction order (TestThreadCountMatrix{BP,MR}).
-//   - FuseKernels: an alternative evaluation order proven
-//     bit-identical to the unfused kernels (TestFusedKernelsBitIdentical).
 //   - Workspace, Timer, Trace, Observer, CheckpointEvery,
 //     CheckpointFunc: instrumentation and buffer reuse.
 //
 // The second return is false when the options are not cacheable at
-// all: a deprecated Rounding func (opaque — it cannot be
-// canonicalized), an armed fault injector, a warm start, or a resume
-// checkpoint all make the run's output depend on state outside the
-// (problem, fingerprint) pair.
+// all: an armed fault injector, a warm start, or a resume checkpoint
+// all make the run's output depend on state outside the (problem,
+// fingerprint) pair.
 //
 // Problem-level inputs (alpha, beta, the graphs, generator seeds) are
 // deliberately absent: the cache hashes the canonicalized problem
@@ -36,7 +33,7 @@ func (o Options) CacheFingerprint() (string, bool) {
 	switch o.Method {
 	case MethodMR:
 		m := o.MR
-		if m.Rounding != nil || m.Faults != nil || m.Resume != nil {
+		if m.Faults != nil || m.Resume != nil {
 			return "", false
 		}
 		iters, gamma, mstep := m.Iterations, m.Gamma, m.MStep
@@ -54,8 +51,7 @@ func (o Options) CacheFingerprint() (string, bool) {
 			m.GreedyRowMatch, g(m.GapTolerance), m.SkipFinalExact, g(m.GuardLimit)), true
 	case MethodBP:
 		b := o.BP
-		if b.Rounding != nil || b.Faults != nil || b.Resume != nil ||
-			b.WarmY != nil || b.WarmZ != nil {
+		if b.Faults != nil || b.Resume != nil || b.WarmY != nil || b.WarmZ != nil {
 			return "", false
 		}
 		iters, gamma, batch := b.Iterations, b.Gamma, b.Batch

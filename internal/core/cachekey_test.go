@@ -53,7 +53,6 @@ func TestCacheFingerprintSensitivity(t *testing.T) {
 	same := map[string]Options{
 		"threads": {BP: BPOptions{Iterations: 50, Gamma: 0.9, Batch: 2, Threads: 8}},
 		"chunk":   {BP: BPOptions{Iterations: 50, Gamma: 0.9, Batch: 2, Chunk: 64}},
-		"fused":   {BP: BPOptions{Iterations: 50, Gamma: 0.9, Batch: 2, FuseKernels: true}},
 		"trace":   {BP: BPOptions{Iterations: 50, Gamma: 0.9, Batch: 2, Trace: true}},
 		"observer": {BP: BPOptions{Iterations: 50, Gamma: 0.9, Batch: 2,
 			Observer: func(int, []float64, []float64) {}}},
@@ -67,11 +66,9 @@ func TestCacheFingerprintSensitivity(t *testing.T) {
 
 func TestCacheFingerprintNotCacheable(t *testing.T) {
 	cases := map[string]Options{
-		"rounding func": {BP: BPOptions{Rounding: matching.Approx}},
-		"warm start":    {BP: BPOptions{WarmY: []float64{1}, WarmZ: []float64{1}}},
-		"resume":        {BP: BPOptions{Resume: &Checkpoint{}}},
-		"mr rounding":   {Method: MethodMR, MR: MROptions{Rounding: matching.Approx}},
-		"mr resume":     {Method: MethodMR, MR: MROptions{Resume: &Checkpoint{}}},
+		"warm start": {BP: BPOptions{WarmY: []float64{1}, WarmZ: []float64{1}}},
+		"resume":     {BP: BPOptions{Resume: &Checkpoint{}}},
+		"mr resume":  {Method: MethodMR, MR: MROptions{Resume: &Checkpoint{}}},
 	}
 	for name, o := range cases {
 		if fp, ok := o.CacheFingerprint(); ok {

@@ -35,7 +35,7 @@ func TestConcurrentSolvesMatchSerial(t *testing.T) {
 	run := func(j job) *core.AlignResult {
 		if j.method == "bp" {
 			res, err := j.p.BPAlignCtx(context.Background(), core.BPOptions{
-				Iterations: 12, Threads: 1, Rounding: matching.Approx,
+				Iterations: 12, Threads: 1, Matcher: matching.MatcherSpec{Name: "approx"},
 			})
 			if err != nil {
 				t.Error(err)
@@ -43,7 +43,7 @@ func TestConcurrentSolvesMatchSerial(t *testing.T) {
 			return res
 		}
 		res, err := j.p.MRAlignCtx(context.Background(), core.MROptions{
-			Iterations: 12, Threads: 1, Rounding: matching.Approx,
+			Iterations: 12, Threads: 1, Matcher: matching.MatcherSpec{Name: "approx"},
 		})
 		if err != nil {
 			t.Error(err)

@@ -27,7 +27,7 @@ func TestBPRoundingDeterministic(t *testing.T) {
 	}
 	run := func(batch int) *core.AlignResult {
 		res, err := p.BPAlignCtx(context.Background(), core.BPOptions{
-			Iterations: 12, Batch: batch, Threads: 1, Rounding: matching.Approx,
+			Iterations: 12, Batch: batch, Threads: 1, Matcher: matching.MatcherSpec{Name: "approx"},
 			Trace: true,
 		})
 		if err != nil {

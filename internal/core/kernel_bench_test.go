@@ -73,7 +73,7 @@ func BenchmarkBPStepBreakdown(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		timer = stats.NewStepTimer()
 		p.BPAlign(core.BPOptions{
-			Iterations: 1, Batch: 2, Rounding: matching.Approx,
+			Iterations: 1, Batch: 2, Matcher: matching.MatcherSpec{Name: "approx"},
 			SkipFinalExact: true, Timer: timer,
 		})
 	}
@@ -90,7 +90,7 @@ func BenchmarkMRStepBreakdown(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		timer = stats.NewStepTimer()
 		p.KlauAlign(core.MROptions{
-			Iterations: 1, Rounding: matching.Approx,
+			Iterations: 1, Matcher: matching.MatcherSpec{Name: "approx"},
 			SkipFinalExact: true, Timer: timer,
 		})
 	}

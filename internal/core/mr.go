@@ -40,22 +40,13 @@ type MROptions struct {
 	// split their index spaces by nnz-balanced partitions (see
 	// DESIGN.md §4), so Chunk never changes the output.
 	Chunk int
-	// Rounding is the bipartite matcher used in Step 3. nil selects
-	// exact matching; pass matching.Approx for the paper's
-	// substitution. Step 1's per-row matchings are always exact ("we
+	// Matcher declaratively selects the Step 3 matcher (the zero value
+	// is exact matching; {Name: "approx"} gives the paper's
+	// substitution). Step 1's per-row matchings are always exact ("we
 	// always use exact matching in the first step... because the
 	// problems in each row tend to be small and we parallelize over
-	// rows").
-	//
-	// Deprecated: set Matcher instead. A non-nil Rounding still wins
-	// for compatibility, but it forfeits the reusable matcher scratch
-	// (the solver cannot see inside a func value), so Step 3 allocates
-	// every iteration.
-	Rounding matching.Matcher
-	// Matcher declaratively selects the Step 3 matcher (the zero value
-	// is exact matching, preserving the historical default). The
-	// solver builds one reusable matcher from it, which is what makes
-	// the steady-state rounding allocation-free.
+	// rows"). The solver builds one reusable matcher from it, which is
+	// what makes the steady-state rounding allocation-free.
 	Matcher matching.MatcherSpec
 	// Workspace supplies reusable solver buffers; nil allocates a
 	// private one for the solve. Handing the same workspace to
@@ -262,8 +253,7 @@ func (p *Problem) mrAlign(ctx context.Context, o MROptions) (*AlignResult, error
 		ws = NewWorkspace()
 	}
 	ws.ensureMR(mEL, nnz)
-	key, mk := matcherFactory(opts.Rounding, opts.Matcher)
-	if err := ws.ensureRound(p, key, mk, 1); err != nil {
+	if err := ws.ensureRound(p, opts.Matcher, 1); err != nil {
 		res := p.emptyResult()
 		res.Err = err
 		return res, err

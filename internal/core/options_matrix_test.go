@@ -3,7 +3,7 @@ package core_test
 // Table-driven interaction test: every combination of the main BP and
 // MR option axes must produce a valid matching, and with deterministic
 // (exact) rounding the objective must be identical across the purely
-// scheduling axes (threads, batch, fused kernels). A second run of the
+// scheduling axes (threads, batch). A second run of the
 // same options must reproduce the first bit for bit, serialized
 // checkpoints included.
 
@@ -63,27 +63,25 @@ func TestBPOptionMatrix(t *testing.T) {
 	ref := p.BPAlign(core.BPOptions{Iterations: 10})
 	for _, batch := range []int{1, 7, 20} {
 		for _, threads := range []int{1, 3} {
-			for _, fused := range []bool{false, true} {
-				name := fmt.Sprintf("batch=%d/threads=%d/fused=%v", batch, threads, fused)
-				run := func() (*core.AlignResult, [][]byte) {
-					o := core.BPOptions{
-						Iterations: 10, Batch: batch, Threads: threads,
-						FuseKernels: fused, Chunk: 16, CheckpointEvery: 4,
-					}
-					cks := checkpointBytes(&o.CheckpointFunc)
-					return p.BPAlign(o), *cks
+			name := fmt.Sprintf("batch=%d/threads=%d", batch, threads)
+			run := func() (*core.AlignResult, [][]byte) {
+				o := core.BPOptions{
+					Iterations: 10, Batch: batch, Threads: threads,
+					Chunk: 16, CheckpointEvery: 4,
 				}
-				r, rCks := run()
-				if err := r.Matching.Validate(p.L); err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if math.Abs(r.Objective-ref.Objective) > 1e-9 {
-					t.Fatalf("%s: objective %g != reference %g (scheduling axes must not change results)",
-						name, r.Objective, ref.Objective)
-				}
-				again, againCks := run()
-				sameRun(t, name, r, again, rCks, againCks)
+				cks := checkpointBytes(&o.CheckpointFunc)
+				return p.BPAlign(o), *cks
 			}
+			r, rCks := run()
+			if err := r.Matching.Validate(p.L); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if math.Abs(r.Objective-ref.Objective) > 1e-9 {
+				t.Fatalf("%s: objective %g != reference %g (scheduling axes must not change results)",
+					name, r.Objective, ref.Objective)
+			}
+			again, againCks := run()
+			sameRun(t, name, r, again, rCks, againCks)
 		}
 	}
 }
@@ -92,9 +90,9 @@ func TestBPDampingMatrix(t *testing.T) {
 	p := smallSynthetic(t, 73)
 	for _, damp := range []core.Damping{core.DampPower, core.DampConstant, core.DampNone} {
 		for _, gamma := range []float64{0.5, 0.9, 0.99} {
-			for _, rounding := range []matching.Matcher{nil, matching.Approx} {
+			for _, spec := range []matching.MatcherSpec{{}, {Name: "approx"}} {
 				r := p.BPAlign(core.BPOptions{
-					Iterations: 8, Damp: damp, Gamma: gamma, Rounding: rounding,
+					Iterations: 8, Damp: damp, Gamma: gamma, Matcher: spec,
 				})
 				if err := r.Matching.Validate(p.L); err != nil {
 					t.Fatalf("damp=%v gamma=%g: %v", damp, gamma, err)

@@ -72,15 +72,15 @@ func TestQuickAlignResultsConsistent(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		var rounding matching.Matcher
+		var spec matching.MatcherSpec
 		if approx {
-			rounding = matching.Approx
+			spec.Name = "approx"
 		}
 		var res *core.AlignResult
 		if useBP {
-			res = p.BPAlign(core.BPOptions{Iterations: 5, Rounding: rounding})
+			res = p.BPAlign(core.BPOptions{Iterations: 5, Matcher: spec})
 		} else {
-			res = p.KlauAlign(core.MROptions{Iterations: 5, Rounding: rounding})
+			res = p.KlauAlign(core.MROptions{Iterations: 5, Matcher: spec})
 		}
 		if res.Matching.Validate(p.L) != nil {
 			return false

@@ -22,7 +22,6 @@ type Workspace struct {
 	// overlap messages over nnz(S), plus the numeric guard's
 	// last-good snapshots.
 	y, z, yPrev, zPrev   []float64
-	yu, zu               []float64 // fused-kernel undamped sweeps
 	d, om, om2           []float64
 	sk, skPrev, f        []float64
 	goodY, goodZ, goodSK []float64
@@ -36,12 +35,12 @@ type Workspace struct {
 	// Rounding state: one slot per concurrently rounded heuristic
 	// (BP's batch size; one for MR). Slots are heap-stable pointers:
 	// each slot holds closures capturing itself (see slotObjective),
-	// so growing the slice must not move live slots. roundKey records
+	// so growing the slice must not move live slots. roundSpec records
 	// which matcher spec the slots were built for; roundL which
 	// candidate graph.
-	slots    []*roundSlot
-	roundKey string
-	roundL   *bipartite.Graph
+	slots     []*roundSlot
+	roundSpec matching.MatcherSpec
+	roundL    *bipartite.Graph
 
 	// parts caches the balanced per-worker partition boundaries for
 	// the current (problem, worker count); see Workspace.ensureParts.
@@ -100,8 +99,6 @@ func (ws *Workspace) ensureBP(mEL, nnz int) {
 	ws.z = growFloat64(ws.z, mEL)
 	ws.yPrev = growFloat64(ws.yPrev, mEL)
 	ws.zPrev = growFloat64(ws.zPrev, mEL)
-	ws.yu = growFloat64(ws.yu, mEL)
-	ws.zu = growFloat64(ws.zu, mEL)
 	ws.d = growFloat64(ws.d, mEL)
 	ws.om = growFloat64(ws.om, mEL)
 	ws.om2 = growFloat64(ws.om2, mEL)
@@ -123,19 +120,18 @@ func (ws *Workspace) ensureMR(mEL, nnz int) {
 	ws.d = growFloat64(ws.d, mEL)
 }
 
-// ensureRound prepares n rounding slots for problem p. key identifies
-// the matcher configuration: slots are rebuilt when it changes, and an
-// empty key (a legacy Rounding func, whose identity cannot be
-// compared) rebuilds every solve. mk constructs one reusable matcher
-// per slot so concurrent batch tasks never share scratch.
-func (ws *Workspace) ensureRound(p *Problem, key string, mk func() (matching.MatchInto, error), n int) error {
-	if key == "" || ws.roundKey != key || ws.roundL != p.L {
+// ensureRound prepares n rounding slots for problem p, each with its
+// own reusable matcher built from spec so concurrent batch tasks never
+// share scratch. Slots are rebuilt when the spec or the candidate
+// graph changes.
+func (ws *Workspace) ensureRound(p *Problem, spec matching.MatcherSpec, n int) error {
+	if ws.roundSpec != spec || ws.roundL != p.L {
 		ws.slots = ws.slots[:0]
-		ws.roundKey = key
+		ws.roundSpec = spec
 		ws.roundL = p.L
 	}
 	for len(ws.slots) < n {
-		m, err := mk()
+		m, err := spec.Reusable()
 		if err != nil {
 			return err
 		}
@@ -146,26 +142,6 @@ func (ws *Workspace) ensureRound(p *Problem, key string, mk func() (matching.Mat
 		s.lw.W = nil
 	}
 	return nil
-}
-
-// matcherFactory normalizes the two ways options select a rounding
-// matcher — the legacy Rounding func and the declarative MatcherSpec —
-// into a per-slot constructor plus the workspace cache key. The legacy
-// func wins when both are set (it predates the spec).
-func matcherFactory(rounding matching.Matcher, spec matching.MatcherSpec) (key string, mk func() (matching.MatchInto, error)) {
-	if rounding != nil {
-		return "", func() (matching.MatchInto, error) {
-			return func(g *bipartite.Graph, threads int, out *matching.Result) *matching.Result {
-				r := rounding(g, threads)
-				if out == nil {
-					return r
-				}
-				out.CopyFrom(r)
-				return out
-			}, nil
-		}
-	}
-	return "spec:" + spec.String(), spec.Reusable
 }
 
 // roundSlotRun rounds the slot's heuristic: match L under the

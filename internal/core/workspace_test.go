@@ -1,20 +1,14 @@
 package core_test
 
-// Tests for the PR's two hot-path claims:
-//
-//  1. Zero allocation: with a warm Workspace, Threads=1 and a reusable
-//     matcher spec, the per-iteration allocation count of a solve is
-//     exactly zero. Measured by the delta method — allocations of a
-//     2N-iteration solve minus an N-iteration solve — so per-solve
-//     constants (tracker, option copies, hoisted closures) cancel and
-//     only per-iteration costs remain.
-//  2. Bit identity: the fused othermax+damping kernels produce bitwise
-//     identical message iterates and results to the unfused path,
-//     across the batch/threads/damping option axes.
+// Tests for the hot-path zero-allocation claim: with a warm Workspace,
+// Threads=1 and a reusable matcher spec, the per-iteration allocation
+// count of a solve is exactly zero. Measured by the delta method —
+// allocations of a 2N-iteration solve minus an N-iteration solve — so
+// per-solve constants (tracker, option copies, hoisted closures)
+// cancel and only per-iteration costs remain.
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"testing"
 
@@ -35,26 +29,23 @@ func allocsPerIter(t *testing.T, solve func(iters int)) float64 {
 func TestBPSteadyStateZeroAlloc(t *testing.T) {
 	p := smallSynthetic(t, 101)
 	ws := core.NewWorkspace()
-	for _, fused := range []bool{false, true} {
-		solve := func(iters int) {
-			res, err := p.Align(context.Background(), core.Options{Method: core.MethodBP, BP: core.BPOptions{
-				Iterations: iters, Threads: 1, Batch: 1,
-				Matcher:        matching.MatcherSpec{Name: "approx"},
-				Workspace:      ws,
-				FuseKernels:    fused,
-				SkipFinalExact: true,
-			}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Matching == nil {
-				t.Fatal("no matching")
-			}
+	solve := func(iters int) {
+		res, err := p.Align(context.Background(), core.Options{Method: core.MethodBP, BP: core.BPOptions{
+			Iterations: iters, Threads: 1, Batch: 1,
+			Matcher:        matching.MatcherSpec{Name: "approx"},
+			Workspace:      ws,
+			SkipFinalExact: true,
+		}})
+		if err != nil {
+			t.Fatal(err)
 		}
-		solve(4) // warm the workspace and matcher scratch
-		if got := allocsPerIter(t, solve); got != 0 {
-			t.Errorf("fused=%v: BP iteration allocates %.2f objects/iter, want 0", fused, got)
+		if res.Matching == nil {
+			t.Fatal("no matching")
 		}
+	}
+	solve(4) // warm the workspace and matcher scratch
+	if got := allocsPerIter(t, solve); got != 0 {
+		t.Errorf("BP iteration allocates %.2f objects/iter, want 0", got)
 	}
 }
 
@@ -122,54 +113,6 @@ func TestPooledSteadyStateLowAlloc(t *testing.T) {
 	}
 }
 
-// TestFusedKernelsBitIdentical pins the fusion contract: identical
-// float operations in identical order, so the damped message iterates
-// (and everything downstream) are bitwise equal, not merely close.
-func TestFusedKernelsBitIdentical(t *testing.T) {
-	p := smallSynthetic(t, 103)
-	for _, threads := range []int{1, 3} {
-		for _, batch := range []int{1, 4} {
-			for _, damp := range []core.Damping{core.DampPower, core.DampConstant, core.DampNone} {
-				name := fmt.Sprintf("threads=%d/batch=%d/damp=%v", threads, batch, damp)
-				run := func(fused bool) ([]uint64, *core.AlignResult) {
-					var bits []uint64
-					res := p.BPAlign(core.BPOptions{
-						Iterations: 12, Batch: batch, Threads: threads,
-						Damp: damp, Chunk: 16,
-						Matcher:     matching.MatcherSpec{Name: "approx"},
-						FuseKernels: fused,
-						Observer: func(iter int, y, z []float64) {
-							for _, v := range y {
-								bits = append(bits, math.Float64bits(v))
-							}
-							for _, v := range z {
-								bits = append(bits, math.Float64bits(v))
-							}
-						},
-					})
-					return bits, res
-				}
-				plainBits, plainRes := run(false)
-				fusedBits, fusedRes := run(true)
-				if len(plainBits) != len(fusedBits) {
-					t.Fatalf("%s: observed %d vs %d message words", name, len(plainBits), len(fusedBits))
-				}
-				for i := range plainBits {
-					if plainBits[i] != fusedBits[i] {
-						t.Fatalf("%s: message word %d differs: %x vs %x", name, i, plainBits[i], fusedBits[i])
-					}
-				}
-				if math.Float64bits(plainRes.Objective) != math.Float64bits(fusedRes.Objective) {
-					t.Fatalf("%s: objective %v vs %v", name, plainRes.Objective, fusedRes.Objective)
-				}
-				if plainRes.BestIter != fusedRes.BestIter {
-					t.Fatalf("%s: bestIter %d vs %d", name, plainRes.BestIter, fusedRes.BestIter)
-				}
-			}
-		}
-	}
-}
-
 // TestWorkspaceReuseAcrossMethodsAndSolves checks that one workspace
 // can serve BP, then MR, then BP again (with a different matcher spec)
 // and still produce the same results as fresh-workspace solves.
@@ -183,7 +126,7 @@ func TestWorkspaceReuseAcrossMethodsAndSolves(t *testing.T) {
 	steps := []step{
 		{core.Options{Method: core.MethodBP, BP: core.BPOptions{Iterations: 6, Matcher: matching.MatcherSpec{Name: "approx"}}}},
 		{core.Options{Method: core.MethodMR, MR: core.MROptions{Iterations: 6}}},
-		{core.Options{Method: core.MethodBP, BP: core.BPOptions{Iterations: 6, FuseKernels: true, Matcher: matching.MatcherSpec{Name: "suitor"}}}},
+		{core.Options{Method: core.MethodBP, BP: core.BPOptions{Iterations: 6, Matcher: matching.MatcherSpec{Name: "suitor"}}}},
 	}
 	for i, st := range steps {
 		shared := st.o

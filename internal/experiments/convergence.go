@@ -39,8 +39,8 @@ func Convergence(c Config, problem string) (*ConvergenceResult, error) {
 		return nil, err
 	}
 	res := &ConvergenceResult{Problem: problem}
-	mr := p.KlauAlign(core.MROptions{Iterations: c.Iterations, Trace: true, Rounding: matching.Approx})
-	bp := p.BPAlign(core.BPOptions{Iterations: c.Iterations, Trace: true, Rounding: matching.Approx})
+	mr := p.KlauAlign(core.MROptions{Iterations: c.Iterations, Trace: true, Matcher: matching.MatcherSpec{Name: "approx"}})
+	bp := p.BPAlign(core.BPOptions{Iterations: c.Iterations, Trace: true, Matcher: matching.MatcherSpec{Name: "approx"}})
 	res.MRTrace = mr.ObjectiveTrace
 	res.BPTrace = bp.ObjectiveTrace
 	res.MRDecreases, res.MRBestAt = traceStats(res.MRTrace)

@@ -192,11 +192,11 @@ func Fig2(c Config, degrees []float64) (*Fig2Result, error) {
 				case "MR-exact":
 					r = p.KlauAlign(core.MROptions{Iterations: c.Iterations})
 				case "MR-approx":
-					r = p.KlauAlign(core.MROptions{Iterations: c.Iterations, Rounding: matching.Approx})
+					r = p.KlauAlign(core.MROptions{Iterations: c.Iterations, Matcher: matching.MatcherSpec{Name: "approx"}})
 				case "BP-exact":
 					r = p.BPAlign(core.BPOptions{Iterations: c.Iterations})
 				case "BP-approx":
-					r = p.BPAlign(core.BPOptions{Iterations: c.Iterations, Rounding: matching.Approx})
+					r = p.BPAlign(core.BPOptions{Iterations: c.Iterations, Matcher: matching.MatcherSpec{Name: "approx"}})
 				case "round-w":
 					r = p.BaselineAlign(core.BaselineOptions{Kind: core.BaselineRoundWeights})
 				case "isorank":
@@ -282,19 +282,14 @@ func Fig3(c Config, problem string) (*Fig3Result, error) {
 		// Rebuild objective weights without rebuilding S.
 		p.Alpha, p.Beta = ab.a, ab.b
 		for _, g := range gammas {
-			for _, approx := range []bool{false, true} {
-				var rounding matching.Matcher
-				name := "exact"
-				if approx {
-					rounding = matching.Approx
-					name = "approx"
-				}
-				mr := p.KlauAlign(core.MROptions{Iterations: c.Iterations, Gamma: 0.5, Rounding: rounding})
+			for _, name := range []string{"exact", "approx"} {
+				spec := matching.MatcherSpec{Name: name}
+				mr := p.KlauAlign(core.MROptions{Iterations: c.Iterations, Gamma: 0.5, Matcher: spec})
 				res.Points = append(res.Points, Fig3Point{
 					Method: "MR-" + name, Alpha: ab.a, Beta: ab.b, Gamma: g,
 					Weight: mr.MatchWeight, Overlap: mr.Overlap,
 				})
-				bp := p.BPAlign(core.BPOptions{Iterations: c.Iterations, Gamma: g, Rounding: rounding})
+				bp := p.BPAlign(core.BPOptions{Iterations: c.Iterations, Gamma: g, Matcher: spec})
 				res.Points = append(res.Points, Fig3Point{
 					Method: "BP-" + name, Alpha: ab.a, Beta: ab.b, Gamma: g,
 					Weight: bp.MatchWeight, Overlap: bp.Overlap,
@@ -350,7 +345,7 @@ func scalingMethods() []ScalingMethod {
 			start := time.Now()
 			p.BPAlign(core.BPOptions{
 				Iterations: iterations, Threads: threads, Batch: batch,
-				Gamma: 0.99, Rounding: matching.Approx, SkipFinalExact: true,
+				Gamma: 0.99, Matcher: matching.MatcherSpec{Name: "approx"}, SkipFinalExact: true,
 			})
 			return time.Since(start)
 		}
@@ -360,7 +355,7 @@ func scalingMethods() []ScalingMethod {
 			start := time.Now()
 			p.KlauAlign(core.MROptions{
 				Iterations: iterations, Threads: threads, MStep: 10,
-				Rounding: matching.Approx, SkipFinalExact: true,
+				Matcher: matching.MatcherSpec{Name: "approx"}, SkipFinalExact: true,
 			})
 			return time.Since(start)
 		}},
@@ -494,12 +489,12 @@ func StepScaling(c Config, problem, method string) (*StepScalingResult, error) {
 		case "MR":
 			p.KlauAlign(core.MROptions{
 				Iterations: c.Iterations, Threads: t, MStep: 10,
-				Rounding: matching.Approx, SkipFinalExact: true, Timer: timer,
+				Matcher: matching.MatcherSpec{Name: "approx"}, SkipFinalExact: true, Timer: timer,
 			})
 		case "BP-batch20":
 			p.BPAlign(core.BPOptions{
 				Iterations: c.Iterations, Threads: t, Batch: 20, Gamma: 0.99,
-				Rounding: matching.Approx, SkipFinalExact: true, Timer: timer,
+				Matcher: matching.MatcherSpec{Name: "approx"}, SkipFinalExact: true, Timer: timer,
 			})
 		default:
 			return nil, fmt.Errorf("experiments: unknown step-scaling method %q", method)

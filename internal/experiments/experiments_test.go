@@ -217,14 +217,14 @@ func TestSoakLargeStandIn(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := p.BaselineAlign(core.BaselineOptions{Kind: core.BaselineRoundWeights, Rounding: matching.Approx})
-	bp := p.BPAlign(core.BPOptions{Iterations: 40, Batch: 20, Rounding: matching.Approx})
+	bp := p.BPAlign(core.BPOptions{Iterations: 40, Batch: 20, Matcher: matching.MatcherSpec{Name: "approx"}})
 	if err := bp.Matching.Validate(p.L); err != nil {
 		t.Fatal(err)
 	}
 	if bp.Objective < base.Objective {
 		t.Fatalf("BP %g below round-weights baseline %g at scale 0.05", bp.Objective, base.Objective)
 	}
-	mr := p.KlauAlign(core.MROptions{Iterations: 15, Rounding: matching.Approx})
+	mr := p.KlauAlign(core.MROptions{Iterations: 15, Matcher: matching.MatcherSpec{Name: "approx"}})
 	if err := mr.Matching.Validate(p.L); err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func Headline(c Config, problem string) (*HeadlineResult, error) {
 	start := time.Now()
 	slow := p.BPAlign(core.BPOptions{
 		Iterations: c.Iterations, Threads: 1, Batch: 1,
-		Gamma: 0.99, Rounding: matching.Exact,
+		Gamma: 0.99,
 	})
 	res.SlowTime = time.Since(start)
 	res.SlowObjective = slow.Objective
@@ -48,7 +48,7 @@ func Headline(c Config, problem string) (*HeadlineResult, error) {
 	start = time.Now()
 	fast := p.BPAlign(core.BPOptions{
 		Iterations: c.Iterations, Threads: res.Threads, Batch: 20,
-		Gamma: 0.99, Rounding: matching.Approx,
+		Gamma: 0.99, Matcher: matching.MatcherSpec{Name: "approx"},
 	})
 	res.FastTime = time.Since(start)
 	res.FastObjective = fast.Objective

@@ -10,12 +10,13 @@ import (
 	"time"
 )
 
-// legacySpec is the bare spec plus the two v1 fields that once chose an
-// execution layout (pipelined rounding, a row-permuted S). They are
-// accepted and ignored.
+// legacySpec is the bare spec plus the three v1 fields that once chose
+// an execution path (pipelined rounding, a row-permuted S, fused BP
+// kernels). They are accepted and ignored.
 func legacySpec(bare Spec) Spec {
 	bare.Pipeline = true
 	bare.Reorder = "rcm"
+	bare.Fused = true
 	return bare
 }
 
@@ -25,8 +26,8 @@ func compatSpec() Spec {
 	return s
 }
 
-// TestLegacyLayoutFieldsIgnored: a submission carrying "pipeline" and
-// "reorder" is admitted, keys to the bare spec's cache key, and solves
+// TestLegacyLayoutFieldsIgnored: a submission carrying "pipeline",
+// "reorder" and "fused" is admitted, keys to the bare spec's cache key, and solves
 // to byte-identical result bytes on a node that has never seen the
 // bare spec.
 func TestLegacyLayoutFieldsIgnored(t *testing.T) {
@@ -40,14 +41,14 @@ func TestLegacyLayoutFieldsIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	if bareKey != legacyKey {
-		t.Fatalf("cache key %s with pipeline/reorder, %s without", legacyKey, bareKey)
+		t.Fatalf("cache key %s with pipeline/reorder/fused, %s without", legacyKey, bareKey)
 	}
 	want := baselineResult(t, bare)
 	mgr, ts := newTestServer(t, Config{Workers: 1})
 	id := submitOK(t, ts, legacy)
 	waitState(t, ts, id, StateDone, 30*time.Second)
 	if got := rawResult(t, mgr, id); !bytes.Equal(got, want) {
-		t.Fatal("result with pipeline/reorder differs from the bare spec's")
+		t.Fatal("result with pipeline/reorder/fused differs from the bare spec's")
 	}
 }
 
@@ -74,11 +75,11 @@ func TestLegacyReorderStillValidated(t *testing.T) {
 }
 
 // TestLegacyJobRecordRecovers restarts on a spool holding a queued
-// job.json written before the layout knobs were removed (spec with
-// "pipeline": true and "reorder": "rcm") and checks that the job
-// completes with the bare spec's result bytes.
+// job.json written before the layout and kernel knobs were removed
+// (spec with "pipeline": true, "reorder": "rcm" and "fused": true) and
+// checks that the job completes with the bare spec's result bytes.
 func TestLegacyJobRecordRecovers(t *testing.T) {
-	const id = "2e880bb6a461d604"
+	const id = "03a2a51617e9680f"
 	spool := t.TempDir()
 	src := filepath.Join("testdata", "legacy-layout-spool", id)
 	if err := os.MkdirAll(filepath.Join(spool, id), 0o755); err != nil {
@@ -96,7 +97,7 @@ func TestLegacyJobRecordRecovers(t *testing.T) {
 	want := baselineResult(t, compatSpec())
 	mgr, ts := newTestServer(t, Config{Spool: spool, Workers: 1})
 	waitState(t, ts, id, StateDone, 30*time.Second)
-	if j, ok := mgr.Get(id); !ok || !j.Spec.Pipeline || j.Spec.Reorder != "rcm" {
+	if j, ok := mgr.Get(id); !ok || !j.Spec.Pipeline || j.Spec.Reorder != "rcm" || !j.Spec.Fused {
 		t.Errorf("recovered job lost its record or its legacy spec fields")
 	}
 	if got := rawResult(t, mgr, id); !bytes.Equal(got, want) {

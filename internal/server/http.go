@@ -545,109 +545,118 @@ func (s *Server) handleHandoff(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// PromWriter writes metric families in the Prometheus text exposition
+// format (version 0.0.4) for the node's and the router's /metrics.
+// Samples print with %v: integers as decimals, float64 as %g.
+type PromWriter struct{ W io.Writer }
+
+// Gauge writes a gauge family with one unlabeled sample.
+func (p PromWriter) Gauge(name, help string, v any) {
+	fmt.Fprintf(p.W, "# HELP %s %s\n# TYPE %s gauge\n%s %v\n", name, help, name, name, v)
+}
+
+// Counter writes a counter family with one unlabeled sample.
+func (p PromWriter) Counter(name, help string, v any) {
+	fmt.Fprintf(p.W, "# HELP %s %s\n# TYPE %s counter\n%s %v\n", name, help, name, name, v)
+}
+
+// Labeled writes a family of type typ with one sample per label value,
+// in the order given; v returns the sample for a label value.
+func (p PromWriter) Labeled(name, help, typ, label string, values []string, v func(string) any) {
+	fmt.Fprintf(p.W, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+	for _, lv := range values {
+		fmt.Fprintf(p.W, "%s{%s=%q} %v\n", name, label, lv, v(lv))
+	}
+}
+
+// SortedKeys returns m's keys in increasing order: the label values of
+// a labeled family, in a stable order.
+func SortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 // handleMetrics renders the manager snapshot in the Prometheus text
 // exposition format.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m := s.mgr.Snapshot()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
-	}
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge("netalignd_uptime_seconds", "Seconds since the server started.", m.UptimeSeconds)
-	gauge("netalignd_queue_depth", "Jobs waiting in the FIFO queue.", float64(m.QueueDepth))
-	gauge("netalignd_jobs_running", "Jobs currently solving.", float64(m.Running))
-	counter("netalignd_jobs_submitted_total", "Jobs accepted.", m.Submitted)
-	counter("netalignd_jobs_resumed_total", "Jobs requeued from the spool at startup.", m.Resumed)
-	counter("netalignd_jobs_interrupted_total", "Runs interrupted by drain or crash.", m.Interrupted)
-	counter("netalignd_jobs_rejected_total", "Submissions rejected by backpressure.", m.Rejected)
-	counter("netalignd_jobs_completed_total", "Jobs finished done.", m.Completed)
-	counter("netalignd_jobs_failed_total", "Jobs finished failed.", m.Failed)
-	counter("netalignd_jobs_cancelled_total", "Jobs cancelled.", m.Cancelled)
-	counter("netalignd_jobs_numerics_total", "Jobs stopped by the numeric guard.", m.Numerics)
-	counter("netalignd_jobs_coalesced_total", "Submissions coalesced onto an identical inflight job.", m.Coalesced)
-	counter("netalignd_jobs_retried_total", "Failed attempts re-enqueued with backoff.", m.Retried)
-	counter("netalignd_jobs_quarantined_total", "Jobs quarantined after exhausting their retry budget or crash-looping.", m.Quarantined)
-	counter("netalignd_jobs_requeued_total", "Quarantined jobs put back by the requeue endpoint.", m.Requeued)
-	counter("netalignd_jobs_stalled_total", "Runs cancelled by the stall watchdog.", m.Stalled)
-	counter("netalignd_jobs_shed_memory_total", "Submissions refused under memory pressure.", m.ShedMemory)
-	counter("netalignd_jobs_refused_disk_total", "Submissions refused under disk pressure.", m.RefusedDisk)
-	counter("netalignd_jobs_preempted_total", "Batch runs checkpoint-preempted for interactive jobs.", m.Preempted)
-	counter("netalignd_jobs_shed_quota_total", "Submissions refused by per-tenant admission quotas.", m.ShedQuota)
-	counter("netalignd_jobs_deadline_expired_total", "Jobs failed because their queue deadline passed before dispatch.", m.Expired)
-	counter("netalignd_handoff_sent_total", "Queued jobs exported to a ring successor during drain.", m.HandoffSent)
-	counter("netalignd_handoff_received_total", "Drained jobs admitted from a peer's handoff.", m.HandoffReceived)
-	counter("netalignd_handoff_failed_total", "Drain exports no peer accepted (job stayed queued in the spool).", m.HandoffFailed)
-	gauge("netalignd_jobs_quarantined", "Jobs currently quarantined.", float64(m.QuarantinedNow))
-	gauge("netalignd_disk_free_bytes", "Free bytes on the spool volume at the last pressure sample.", float64(m.DiskFreeBytes))
-	gauge("netalignd_rss_bytes", "Process resident set size at the last pressure sample.", float64(m.RSSBytes))
-	gauge("netalignd_disk_pressure_level", "Disk pressure level: 0 ok, 1 degraded, 2 refusing.", float64(m.DiskPressure))
+	pw := PromWriter{W: w}
+	pw.Gauge("netalignd_uptime_seconds", "Seconds since the server started.", m.UptimeSeconds)
+	pw.Gauge("netalignd_queue_depth", "Jobs waiting in the FIFO queue.", float64(m.QueueDepth))
+	pw.Gauge("netalignd_jobs_running", "Jobs currently solving.", float64(m.Running))
+	pw.Counter("netalignd_jobs_submitted_total", "Jobs accepted.", m.Submitted)
+	pw.Counter("netalignd_jobs_resumed_total", "Jobs requeued from the spool at startup.", m.Resumed)
+	pw.Counter("netalignd_jobs_interrupted_total", "Runs interrupted by drain or crash.", m.Interrupted)
+	pw.Counter("netalignd_jobs_rejected_total", "Submissions rejected by backpressure.", m.Rejected)
+	pw.Counter("netalignd_jobs_completed_total", "Jobs finished done.", m.Completed)
+	pw.Counter("netalignd_jobs_failed_total", "Jobs finished failed.", m.Failed)
+	pw.Counter("netalignd_jobs_cancelled_total", "Jobs cancelled.", m.Cancelled)
+	pw.Counter("netalignd_jobs_numerics_total", "Jobs stopped by the numeric guard.", m.Numerics)
+	pw.Counter("netalignd_jobs_coalesced_total", "Submissions coalesced onto an identical inflight job.", m.Coalesced)
+	pw.Counter("netalignd_jobs_retried_total", "Failed attempts re-enqueued with backoff.", m.Retried)
+	pw.Counter("netalignd_jobs_quarantined_total", "Jobs quarantined after exhausting their retry budget or crash-looping.", m.Quarantined)
+	pw.Counter("netalignd_jobs_requeued_total", "Quarantined jobs put back by the requeue endpoint.", m.Requeued)
+	pw.Counter("netalignd_jobs_stalled_total", "Runs cancelled by the stall watchdog.", m.Stalled)
+	pw.Counter("netalignd_jobs_shed_memory_total", "Submissions refused under memory pressure.", m.ShedMemory)
+	pw.Counter("netalignd_jobs_refused_disk_total", "Submissions refused under disk pressure.", m.RefusedDisk)
+	pw.Counter("netalignd_jobs_preempted_total", "Batch runs checkpoint-preempted for interactive jobs.", m.Preempted)
+	pw.Counter("netalignd_jobs_shed_quota_total", "Submissions refused by per-tenant admission quotas.", m.ShedQuota)
+	pw.Counter("netalignd_jobs_deadline_expired_total", "Jobs failed because their queue deadline passed before dispatch.", m.Expired)
+	pw.Counter("netalignd_handoff_sent_total", "Queued jobs exported to a ring successor during drain.", m.HandoffSent)
+	pw.Counter("netalignd_handoff_received_total", "Drained jobs admitted from a peer's handoff.", m.HandoffReceived)
+	pw.Counter("netalignd_handoff_failed_total", "Drain exports no peer accepted (job stayed queued in the spool).", m.HandoffFailed)
+	pw.Gauge("netalignd_jobs_quarantined", "Jobs currently quarantined.", float64(m.QuarantinedNow))
+	pw.Gauge("netalignd_disk_free_bytes", "Free bytes on the spool volume at the last pressure sample.", float64(m.DiskFreeBytes))
+	pw.Gauge("netalignd_rss_bytes", "Process resident set size at the last pressure sample.", float64(m.RSSBytes))
+	pw.Gauge("netalignd_disk_pressure_level", "Disk pressure level: 0 ok, 1 degraded, 2 refusing.", float64(m.DiskPressure))
 	memPressure := 0.0
 	if m.MemPressure {
 		memPressure = 1
 	}
-	gauge("netalignd_memory_pressure", "1 while submissions are shed for memory pressure.", memPressure)
-	gauge("netalignd_retry_after_seconds", "Current Retry-After hint attached to shed submissions.", float64(m.RetryAfterSec))
+	pw.Gauge("netalignd_memory_pressure", "1 while submissions are shed for memory pressure.", memPressure)
+	pw.Gauge("netalignd_retry_after_seconds", "Current Retry-After hint attached to shed submissions.", float64(m.RetryAfterSec))
 	if len(m.Tenants) > 0 {
-		names := tenantNames(m.Tenants)
-		tgauge := func(name, help string, f func(TenantMetrics) float64) {
-			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", name, help, name)
-			for _, t := range names {
-				fmt.Fprintf(w, "%s{tenant=%q} %g\n", name, t, f(m.Tenants[t]))
-			}
-		}
-		tcounter := func(name, help string, f func(TenantMetrics) int64) {
-			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-			for _, t := range names {
-				fmt.Fprintf(w, "%s{tenant=%q} %d\n", name, t, f(m.Tenants[t]))
-			}
-		}
-		tgauge("netalignd_tenant_weight", "Configured fair-share weight.", func(t TenantMetrics) float64 { return float64(t.Weight) })
-		tgauge("netalignd_tenant_queue_depth", "Jobs waiting in the tenant's queues.", func(t TenantMetrics) float64 { return float64(t.Queued) })
-		tgauge("netalignd_tenant_queue_depth_interactive", "Interactive jobs waiting in the tenant's queue.", func(t TenantMetrics) float64 { return float64(t.QueuedInteractive) })
-		tgauge("netalignd_tenant_jobs_running", "Tenant jobs currently solving.", func(t TenantMetrics) float64 { return float64(t.Running) })
-		tcounter("netalignd_tenant_jobs_submitted_total", "Jobs accepted for the tenant.", func(t TenantMetrics) int64 { return t.Submitted })
-		tcounter("netalignd_tenant_jobs_completed_total", "Tenant jobs finished done.", func(t TenantMetrics) int64 { return t.Completed })
-		tcounter("netalignd_tenant_jobs_preempted_total", "Tenant batch runs checkpoint-preempted.", func(t TenantMetrics) int64 { return t.Preempted })
-		tcounter("netalignd_tenant_jobs_shed_total", "Tenant submissions refused by quota or memory pressure.", func(t TenantMetrics) int64 { return t.Shed })
-		tgauge("netalignd_tenant_queue_wait_seconds_total", "Cumulative queue wait charged to dispatched tenant jobs.", func(t TenantMetrics) float64 { return t.WaitSeconds })
+		names := SortedKeys(m.Tenants)
+		pw.Labeled("netalignd_tenant_weight", "Configured fair-share weight.", "gauge", "tenant", names, func(t string) any { return float64(m.Tenants[t].Weight) })
+		pw.Labeled("netalignd_tenant_queue_depth", "Jobs waiting in the tenant's queues.", "gauge", "tenant", names, func(t string) any { return float64(m.Tenants[t].Queued) })
+		pw.Labeled("netalignd_tenant_queue_depth_interactive", "Interactive jobs waiting in the tenant's queue.", "gauge", "tenant", names, func(t string) any { return float64(m.Tenants[t].QueuedInteractive) })
+		pw.Labeled("netalignd_tenant_jobs_running", "Tenant jobs currently solving.", "gauge", "tenant", names, func(t string) any { return float64(m.Tenants[t].Running) })
+		pw.Labeled("netalignd_tenant_jobs_submitted_total", "Jobs accepted for the tenant.", "counter", "tenant", names, func(t string) any { return m.Tenants[t].Submitted })
+		pw.Labeled("netalignd_tenant_jobs_completed_total", "Tenant jobs finished done.", "counter", "tenant", names, func(t string) any { return m.Tenants[t].Completed })
+		pw.Labeled("netalignd_tenant_jobs_preempted_total", "Tenant batch runs checkpoint-preempted.", "counter", "tenant", names, func(t string) any { return m.Tenants[t].Preempted })
+		pw.Labeled("netalignd_tenant_jobs_shed_total", "Tenant submissions refused by quota or memory pressure.", "counter", "tenant", names, func(t string) any { return m.Tenants[t].Shed })
+		pw.Labeled("netalignd_tenant_queue_wait_seconds_total", "Cumulative queue wait charged to dispatched tenant jobs.", "gauge", "tenant", names, func(t string) any { return m.Tenants[t].WaitSeconds })
 	}
 	if m.PeerFillEnabled {
-		counter("netalignd_peer_fill_total", "Submissions admitted from a peer's cache instead of solving.", m.PeerFills)
-		counter("netalignd_peer_fill_probes_total", "Cache probes sent to ring neighbors.", m.PeerFill.Probes)
-		counter("netalignd_peer_fill_rejects_total", "Peer payloads rejected by hash validation.", m.PeerFill.Rejects)
-		counter("netalignd_peer_fill_misses_total", "Peer probes that found no entry anywhere.", m.PeerFill.Misses)
-		counter("netalignd_peer_fill_skipped_total", "Peer probes skipped because the peer was marked down.", m.PeerFill.Skips)
+		pw.Counter("netalignd_peer_fill_total", "Submissions admitted from a peer's cache instead of solving.", m.PeerFills)
+		pw.Counter("netalignd_peer_fill_probes_total", "Cache probes sent to ring neighbors.", m.PeerFill.Probes)
+		pw.Counter("netalignd_peer_fill_rejects_total", "Peer payloads rejected by hash validation.", m.PeerFill.Rejects)
+		pw.Counter("netalignd_peer_fill_misses_total", "Peer probes that found no entry anywhere.", m.PeerFill.Misses)
+		pw.Counter("netalignd_peer_fill_skipped_total", "Peer probes skipped because the peer was marked down.", m.PeerFill.Skips)
 	}
 	if m.CacheEnabled {
-		counter("netalignd_cache_hits_total", "Result-cache hits (memory or disk).", m.CacheHits)
-		counter("netalignd_cache_disk_hits_total", "Result-cache hits served from the disk tier.", m.CacheDiskHits)
-		counter("netalignd_cache_misses_total", "Result-cache misses.", m.CacheMisses)
-		counter("netalignd_cache_evictions_total", "Result-cache entries evicted by the byte bound.", m.CacheEvicted)
-		counter("netalignd_cache_corrupt_total", "Corrupt disk-tier entries detected and removed.", m.CacheCorrupt)
-		gauge("netalignd_cache_bytes", "Serialized result bytes held in memory.", float64(m.CacheBytes))
-		gauge("netalignd_cache_entries", "Results held in the memory tier.", float64(m.CacheEntries))
+		pw.Counter("netalignd_cache_hits_total", "Result-cache hits (memory or disk).", m.CacheHits)
+		pw.Counter("netalignd_cache_disk_hits_total", "Result-cache hits served from the disk tier.", m.CacheDiskHits)
+		pw.Counter("netalignd_cache_misses_total", "Result-cache misses.", m.CacheMisses)
+		pw.Counter("netalignd_cache_evictions_total", "Result-cache entries evicted by the byte bound.", m.CacheEvicted)
+		pw.Counter("netalignd_cache_corrupt_total", "Corrupt disk-tier entries detected and removed.", m.CacheCorrupt)
+		pw.Gauge("netalignd_cache_bytes", "Serialized result bytes held in memory.", float64(m.CacheBytes))
+		pw.Gauge("netalignd_cache_entries", "Results held in the memory tier.", float64(m.CacheEntries))
 	}
-	const stepName = "netalignd_solve_step_seconds"
-	fmt.Fprintf(w, "# HELP %s Cumulative solver time per pipeline stage.\n# TYPE %s counter\n", stepName, stepName)
-	steps := make([]string, 0, len(m.StepSeconds))
-	for step := range m.StepSeconds {
-		steps = append(steps, step)
-	}
-	sort.Strings(steps)
-	for _, step := range steps {
-		fmt.Fprintf(w, "%s{step=%q} %g\n", stepName, step, m.StepSeconds[step])
-	}
+	pw.Labeled("netalignd_solve_step_seconds", "Cumulative solver time per pipeline stage.", "counter", "step", SortedKeys(m.StepSeconds), func(step string) any { return m.StepSeconds[step] })
 	// Parallel-region scheduler health: pool utilization and how often
 	// regions fell off the zero-allocation pool path.
 	sched := parallel.Stats()
-	gauge("netalignd_sched_pool_workers", "Parked parallel-pool workers alive.", float64(sched.PoolWorkers))
-	gauge("netalignd_sched_workers_busy", "Pool workers executing a region right now.", float64(sched.WorkersBusy))
-	counter("netalignd_sched_pool_regions_total", "Parallel regions dispatched on a worker pool.", sched.PoolRegions)
-	counter("netalignd_sched_spawn_regions_total", "Parallel regions that fell back to goroutine spawning.", sched.SpawnRegions)
-	counter("netalignd_sched_shared_busy_fallbacks_total", "Free-function regions that found the shared pool occupied.", sched.SharedBusyFallbacks)
+	pw.Gauge("netalignd_sched_pool_workers", "Parked parallel-pool workers alive.", float64(sched.PoolWorkers))
+	pw.Gauge("netalignd_sched_workers_busy", "Pool workers executing a region right now.", float64(sched.WorkersBusy))
+	pw.Counter("netalignd_sched_pool_regions_total", "Parallel regions dispatched on a worker pool.", sched.PoolRegions)
+	pw.Counter("netalignd_sched_spawn_regions_total", "Parallel regions that fell back to goroutine spawning.", sched.SpawnRegions)
+	pw.Counter("netalignd_sched_shared_busy_fallbacks_total", "Free-function regions that found the shared pool occupied.", sched.SharedBusyFallbacks)
 }
 
 // PublishExpvars registers the manager snapshot under the "netalignd"

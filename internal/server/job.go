@@ -124,14 +124,12 @@ type Spec struct {
 	// matching.ParseMatcherSpec): "exact", "approx", "suitor",
 	// "locally-dominant(sorted=true)", ... Empty falls back to Approx.
 	Matcher string `json:"matcher,omitempty"`
-	// Fused enables BP's fused othermax+damping kernels (bit-identical
-	// iterates, fewer passes over S).
-	Fused bool `json:"fused,omitempty"`
-	// Pipeline and Reorder are accepted and ignored (v1
+	// Fused, Pipeline and Reorder are accepted and ignored (v1
 	// compatibility): old clients' requests, spooled job.json records
 	// and handoff payloads carry them and must still decode under
 	// DisallowUnknownFields. Reorder still rejects values other than
-	// none, auto, degree and rcm. Neither enters the cache key.
+	// none, auto, degree and rcm. None enters the cache key.
+	Fused    bool   `json:"fused,omitempty"`
 	Pipeline bool   `json:"pipeline,omitempty"`
 	Reorder  string `json:"reorder,omitempty"`
 	// Threads bounds one solve's parallelism (0 = server default).

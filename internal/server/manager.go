@@ -1574,7 +1574,7 @@ func (m *Manager) run(j *Job) {
 		Method: method,
 		BP: core.BPOptions{
 			Iterations: spec.Iterations, Gamma: spec.Gamma, Batch: spec.Batch,
-			Threads: threads, Matcher: mspec, FuseKernels: spec.Fused, Timer: m.timer,
+			Threads: threads, Matcher: mspec, Timer: m.timer,
 			Observer: beatBP,
 			Resume:   resume, CheckpointEvery: ckptEvery, CheckpointFunc: ckptFunc,
 		},

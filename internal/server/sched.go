@@ -1,9 +1,6 @@
 package server
 
-import (
-	"sort"
-	"time"
-)
+import "time"
 
 // Priority classes. Interactive jobs are dispatched before batch jobs
 // whenever any are queued, across all tenants; within a class, tenants
@@ -263,15 +260,4 @@ func (s *schedQueue) snapshot() map[string]TenantMetrics {
 		}
 	}
 	return out
-}
-
-// tenantNames returns the known tenants sorted, for deterministic
-// metrics rendering.
-func tenantNames(m map[string]TenantMetrics) []string {
-	names := make([]string, 0, len(m))
-	for n := range m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

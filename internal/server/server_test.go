@@ -460,7 +460,7 @@ func TestRestartResumeBitIdentical(t *testing.T) {
 	}
 	ref, err := p.BPAlignCtx(context.Background(), core.BPOptions{
 		Iterations: spec.Iterations, Batch: 1, Threads: 1,
-		Rounding: matching.Approx,
+		Matcher: matching.MatcherSpec{Name: "approx"},
 	})
 	if err != nil {
 		t.Fatal(err)

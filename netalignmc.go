@@ -22,7 +22,7 @@
 //	if err != nil { ... }
 //	res := p.BPAlign(netalignmc.BPOptions{
 //		Iterations: 100,
-//		Rounding:   netalignmc.ApproxMatcher, // parallel half-approx rounding
+//		Matcher:    netalignmc.MatcherSpec{Name: "approx"}, // parallel half-approx rounding
 //	})
 //	fmt.Println(res.Objective, res.Matching.MateA)
 //
@@ -152,8 +152,9 @@ type FaultInjector = core.FaultInjector
 // cardinality).
 type Matching = matching.Result
 
-// Matcher computes a matching of a candidate graph; alignment methods
-// accept any Matcher for their rounding step.
+// Matcher computes a matching of a candidate graph. The baselines
+// accept any Matcher for their rounding step (BaselineOptions.Rounding);
+// BP and MR select theirs with a MatcherSpec.
 type Matcher = matching.Matcher
 
 // MatcherSpec declaratively selects and parameterizes a rounding
@@ -161,9 +162,9 @@ type Matcher = matching.Matcher
 // "path-growing", "auction"); it marshals to/from text ("suitor",
 // "locally-dominant(sorted=true)", "auction(eps=0.01)"), so it travels
 // through flags, JSON job specs and config files. The zero value is
-// exact matching. Prefer it over raw Matcher funcs in BPOptions and
-// MROptions: the solvers build reusable (allocation-free) matcher
-// state from a spec, which they cannot do for an opaque func.
+// exact matching. It is how BPOptions and MROptions select their
+// rounding matcher: the solvers build reusable (allocation-free)
+// matcher state from the spec.
 type MatcherSpec = matching.MatcherSpec
 
 // ParseMatcherSpec parses a matcher spec string.

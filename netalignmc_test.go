@@ -31,7 +31,7 @@ func buildTinyProblem(t testing.TB) *netalignmc.Problem {
 
 func TestPublicAPIQuickstart(t *testing.T) {
 	p := buildTinyProblem(t)
-	res := p.BPAlign(netalignmc.BPOptions{Iterations: 10, Rounding: netalignmc.ApproxMatcher})
+	res := p.BPAlign(netalignmc.BPOptions{Iterations: 10, Matcher: netalignmc.MatcherSpec{Name: "approx"}})
 	if err := res.Matching.Validate(p.L); err != nil {
 		t.Fatal(err)
 	}
