@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-go cover vet faults chaos fuzz examples reproduce serve smoke cluster-smoke clean
+.PHONY: all build test race bench-go cover vet faults chaos fuzz examples reproduce serve smoke cluster-smoke clean
 
 all: build test
 
@@ -32,18 +32,18 @@ faults:
 chaos:
 	GOMAXPROCS=4 $(GO) test -race -run 'TestChaos|TestRetry|TestQuarantine|TestCrashLoop|TestWatchProgress|TestStall|TestPressure|TestCheckpointFault' ./internal/server/ ./internal/faults/
 
-# Brief fuzzing of the three file-format readers (the seed corpora
-# also run as part of every plain `make test`).
+# Brief fuzzing of every Fuzz* target in the module, 10s each: the
+# file-format and checkpoint readers, the canonical problem reader and
+# writer, and the v1 job spec decoder (the seed corpora also run as
+# part of every plain `make test`).
 fuzz:
-	$(GO) test -fuzz=FuzzReadSMAT -fuzztime=10s ./internal/problemio/
-	$(GO) test -fuzz=FuzzReadMTX -fuzztime=10s ./internal/problemio/
-	$(GO) test -fuzz=FuzzReadCheckpoint -fuzztime=10s ./internal/problemio/
-
-# Perf harness: measure the fig. 2 configurations with cmd/benchalign
-# and append machine-readable runs to BENCH_dev.json (see scripts/bench.sh
-# for the LABEL/THREADS/ITERS/CHECK knobs).
-bench:
-	./scripts/bench.sh
+	@grep -rl --include='*_test.go' --exclude-dir=benchmark '^func Fuzz' . | sort | while read -r file; do \
+		dir=$$(dirname "$$file"); \
+		for target in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' "$$file"); do \
+			echo "fuzz $$dir $$target"; \
+			$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime=10s "$$dir/" || exit 1; \
+		done; \
+	done
 
 # Go microbenchmarks (testing.B) across all packages.
 bench-go:

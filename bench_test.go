@@ -18,6 +18,8 @@ package netalignmc_test
 //	NETALIGN_BENCH_ITERS  iterations per run (default 10)
 
 import (
+	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
@@ -28,6 +30,7 @@ import (
 	"netalignmc/internal/experiments"
 	"netalignmc/internal/gen"
 	"netalignmc/internal/matching"
+	"netalignmc/internal/stats"
 )
 
 func benchConfig() experiments.Config {
@@ -329,6 +332,89 @@ func BenchmarkAblationRowMatch(b *testing.B) {
 				obj = r.Objective
 			}
 			b.ReportMetric(obj, "objective")
+		})
+	}
+}
+
+// --- Allocation gate against the committed pr9 recording ---
+
+// pr9AllocRatio bounds a warm solve's allocations per iteration at
+// this multiple of the committed pr9 recording of the same
+// configuration.
+const pr9AllocRatio = 1.2
+
+// benchDoc is the part of a committed BENCH_*.json recording the
+// allocation gate reads.
+type benchDoc struct {
+	Runs []struct {
+		Label         string  `json:"label"`
+		Config        string  `json:"config"`
+		Threads       int     `json:"threads"`
+		Iterations    int     `json:"iterations"`
+		AllocsPerIter float64 `json:"allocs_per_iter"`
+	} `json:"runs"`
+}
+
+// TestFig2AllocsWithinPR9 keeps the Figure 2 solves' allocation count
+// from growing: a warm 40-iteration, 1-thread solve of the d̄=8
+// synthetic problem with approximate rounding, no final exact step
+// and a step timer attached, for BP (fig2-bp) and MR (fig2-mr), must
+// allocate at most pr9AllocRatio times the pr9 threads=1 entry of
+// BENCH_pr9.json per iteration. One thread keeps the count
+// deterministic.
+func TestFig2AllocsWithinPR9(t *testing.T) {
+	data, err := os.ReadFile("BENCH_pr9.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc benchDoc
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatalf("BENCH_pr9.json: %v", err)
+	}
+	p, err := gen.Synthetic(gen.DefaultSynthetic(8, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const iters = 40
+	approx := matching.MatcherSpec{Name: "approx"}
+	// Each configuration gets its own workspace and step timer, as a
+	// separate measuring process would.
+	for _, c := range []struct {
+		config string
+		opts   core.Options
+	}{
+		{"fig2-bp", core.Options{Method: core.MethodBP, BP: core.BPOptions{
+			Iterations: iters, Threads: 1, Matcher: approx, SkipFinalExact: true,
+			Workspace: core.NewWorkspace(), Timer: stats.NewStepTimer(),
+		}}},
+		{"fig2-mr", core.Options{Method: core.MethodMR, MR: core.MROptions{
+			Iterations: iters, Threads: 1, Matcher: approx, SkipFinalExact: true,
+			Workspace: core.NewWorkspace(), Timer: stats.NewStepTimer(),
+		}}},
+	} {
+		t.Run(c.config, func(t *testing.T) {
+			baseline := -1.0
+			for _, r := range doc.Runs {
+				if r.Label == "pr9" && r.Config == c.config && r.Threads == 1 && r.Iterations == iters {
+					baseline = r.AllocsPerIter
+				}
+			}
+			if baseline < 0 {
+				t.Fatalf("BENCH_pr9.json has no pr9 %s threads=1 iterations=%d run", c.config, iters)
+			}
+			// AllocsPerRun's own warm-up solve fills the workspace, the
+			// matcher scratch and the timer's step table.
+			perSolve := testing.AllocsPerRun(3, func() {
+				if _, err := p.Align(context.Background(), c.opts); err != nil {
+					t.Fatal(err)
+				}
+			})
+			got, limit := perSolve/iters, pr9AllocRatio*baseline
+			t.Logf("%s: %.3f allocs/iter (pr9 %.3f, limit %.3f)", c.config, got, baseline, limit)
+			if got > limit {
+				t.Errorf("%s allocates %.3f objects/iter, above %.1f x pr9's %.3f = %.3f",
+					c.config, got, pr9AllocRatio, baseline, limit)
+			}
 		})
 	}
 }

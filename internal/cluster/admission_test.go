@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
+	"strings"
 	"testing"
+	"time"
 
 	"netalignmc/internal/server"
 )
@@ -92,6 +95,42 @@ func TestAdmissionRejectsBadSpecs(t *testing.T) {
 				t.Errorf("router error {%s, %q}, want {bad_request, %q}", env.Error.Code, env.Error.Message, tc.msg)
 			}
 		})
+	}
+}
+
+// TestAdmissionRejectsOversizedGenerators: a generator spec of a few
+// dozen bytes can ask for a problem far larger than any upload may be
+// (n=20000 used to take over a minute of admission and 90 MB of
+// canonical bytes). Node and router must answer 400 from the
+// parameters alone, before generating anything.
+func TestAdmissionRejectsOversizedGenerators(t *testing.T) {
+	a := startNode(t, server.Config{CacheBytes: 16 << 20})
+	b := startNode(t, server.Config{CacheBytes: 16 << 20})
+	_, rt := startRouter(t, a, b)
+	client := &http.Client{Timeout: 10 * time.Second}
+	for _, body := range []string{
+		`{"generator":{"n":20000,"dbar":8}}`,
+		`{"generator":{"n":400,"dbar":10000}}`,
+		`{"generator":{"n":2048,"perturb":0.05}}`,
+		`{"generator":{"type":"lcsh-rameau"}}`,
+		`{"generator":{"type":"lcsh-wiki","scale":-1}}`,
+	} {
+		for _, target := range []struct{ name, url string }{{"node", a.url}, {"router", rt.URL}} {
+			start := time.Now()
+			resp, err := client.Post(target.url+"/v1/jobs", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatalf("%s %s: %v", target.name, body, err)
+			}
+			data, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			elapsed := time.Since(start)
+			if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(data, []byte("out of range")) {
+				t.Errorf("%s %s: status %d body %s, want 400 out of range", target.name, body, resp.StatusCode, data)
+			}
+			if elapsed > time.Second {
+				t.Errorf("%s %s: rejected after %v, want well under a second", target.name, body, elapsed)
+			}
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"testing"
 
 	"netalignmc/internal/cache"
@@ -114,4 +115,55 @@ func TestSpooledProblemMatchesRouterKey(t *testing.T) {
 			t.Errorf("%s: node key %s, router key %s", name, got, key)
 		}
 	}
+}
+
+// FuzzSpecCacheKey decodes arbitrary bytes as a v1 job spec the way
+// handleSubmit does and, when the spec decodes, keys it twice at
+// different thread counts: neither call may panic or stall, and both
+// must agree on the error, the key and the canonical bytes. The seeds
+// cover every field of the job spec table in docs/api.md and the
+// README's submit examples.
+func FuzzSpecCacheKey(f *testing.F) {
+	for _, seed := range []string{
+		`{"method":"bp","iterations":100,"approx":true,"generator":{"n":1000,"dbar":5,"seed":7}}`,
+		`{"method":"mr","iterations":20,"mstep":5,"gamma":0.5,"matcher":"suitor","generator":{"type":"synthetic","n":40,"dbar":3,"perturb":0.05,"seed":7}}`,
+		`{"batch":4,"threads":2,"timeoutSec":1.5,"progressEvery":5,"checkpointEvery":2,"generator":{"n":120,"dbar":4,"seed":21}}`,
+		`{"tenant":"team-a","class":"interactive","deadlineMs":500,"generator":{"n":40,"dbar":3,"seed":8}}`,
+		`{"fused":true,"pipeline":true,"reorder":"rcm","generator":{"n":40,"dbar":3,"seed":7}}`,
+		`{"reorder":"sideways","generator":{"n":40}}`,
+		`{"generator":{"type":"dmela-scere","scale":0.01,"seed":3}}`,
+		`{"generator":{"type":"lcsh-wiki","scale":0.001}}`,
+		`{"generator":{"n":20000,"dbar":8}}`,
+		`{"generator":{"n":400,"dbar":10000}}`,
+		`{"problem":"netalign 1\ngraph A 2 1\n0 1\ngraph B 2 1\n0 1\ngraph L 2 2 2\n0 0 1\n1 1 1\n"}`,
+		`{"alpha":1,"beta":3,"a":"2 2 2\n0 1 1\n1 0 1\n","b":"2 2 0\n","l":"2 2 1\n1 1 1\n"}`,
+		`{"format":"mtx","a":"%%MatrixMarket matrix coordinate pattern symmetric\n2 2 1\n2 1\n","b":"%%MatrixMarket matrix coordinate pattern symmetric\n2 2 0\n","l":"%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1\n"}`,
+		`{"method":"bp"}`,
+		`{"metod":"bp"}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	for _, spec := range goldenSpecs() {
+		data, err := json.Marshal(spec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var spec Spec
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		if dec.Decode(&spec) != nil {
+			return
+		}
+		key1, canon1, err1 := spec.CacheKey(1)
+		key2, canon2, err2 := spec.CacheKey(2)
+		if (err1 == nil) != (err2 == nil) || (err1 != nil && err1.Error() != err2.Error()) {
+			t.Fatalf("CacheKey errors differ: %v vs %v", err1, err2)
+		}
+		if key1 != key2 || !bytes.Equal(canon1, canon2) {
+			t.Fatalf("CacheKey not deterministic: %s vs %s", key1, key2)
+		}
+	})
 }

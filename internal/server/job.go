@@ -28,6 +28,7 @@ import (
 	"netalignmc/internal/cache"
 	"netalignmc/internal/cli"
 	"netalignmc/internal/core"
+	"netalignmc/internal/gen"
 	"netalignmc/internal/matching"
 	"netalignmc/internal/problemio"
 )
@@ -239,6 +240,62 @@ func (s *Spec) Validate() error {
 	}
 	if sources != 1 {
 		return fmt.Errorf("exactly one problem source required (problem, a/b/l, or generator); got %d", sources)
+	}
+	if s.isGenerated() {
+		return s.Generator.validate()
+	}
+	return nil
+}
+
+// Generator limits. Admission builds a generated problem, S included,
+// synchronously on the router (CacheKey) and on the node (Submit), so
+// its size is bounded before anything is generated. The largest
+// accepted synthetic spec (n=2048, dbar=20, perturb·n=40.96) and the
+// largest stand-ins (lcsh-wiki at scale 0.05, lcsh-rameau at 0.02)
+// each admit in under half a second at one thread on a 2-CPU x86-64
+// host, with at most 7.9 MB of canonical bytes, far below
+// maxBodyBytes.
+const (
+	maxGenVertices = 2048
+	maxGenDBar     = 20
+	// maxGenPerturbDegree bounds perturb·n, the expected number of
+	// edges perturbation adds per vertex: the paper's 0.02 at the
+	// largest n. A perturbed graph's density is what grows S.
+	maxGenPerturbDegree = 0.02 * maxGenVertices
+)
+
+// maxStandInScale is the largest accepted scale of each dataset
+// stand-in (scale 0 means full size).
+var maxStandInScale = map[string]float64{
+	"dmela-scere": 1,
+	"homo-musm":   1,
+	"lcsh-wiki":   0.05,
+	"lcsh-rameau": 0.02,
+}
+
+// validate rejects generator parameters outside the limits above.
+func (g *GeneratorSpec) validate() error {
+	if g.Type == "" || g.Type == "synthetic" {
+		n := g.N
+		if n == 0 {
+			n = gen.DefaultSynthetic(0, 0).N
+		}
+		switch {
+		case n < 0 || n > maxGenVertices:
+			return fmt.Errorf("generator n=%d out of range [0, %d]", g.N, maxGenVertices)
+		case g.DBar < 0 || g.DBar > maxGenDBar:
+			return fmt.Errorf("generator dbar=%g out of range [0, %d]", g.DBar, maxGenDBar)
+		case g.Perturb < 0 || g.Perturb*float64(n) > maxGenPerturbDegree:
+			return fmt.Errorf("generator perturb=%g out of range: want 0 <= perturb·n <= %g", g.Perturb, maxGenPerturbDegree)
+		}
+		return nil
+	}
+	limit, ok := maxStandInScale[g.Type]
+	if !ok {
+		return fmt.Errorf("unknown generator type %q", g.Type)
+	}
+	if g.Scale < 0 || g.Scale > limit || (g.Scale == 0 && limit < 1) {
+		return fmt.Errorf("generator %s scale=%g out of range: want 0 < scale <= %g (0 is full size)", g.Type, g.Scale, limit)
 	}
 	return nil
 }

@@ -643,9 +643,23 @@ func TestListJobs(t *testing.T) {
 }
 
 func TestSpecValidateUnit(t *testing.T) {
-	good := smallSpec()
-	if err := good.Validate(); err != nil {
-		t.Errorf("valid spec rejected: %v", err)
+	// The largest generator spec of each family validates; one step
+	// past it does not.
+	good := []Spec{
+		smallSpec(),
+		{Generator: &GeneratorSpec{}},
+		{Generator: &GeneratorSpec{N: maxGenVertices, DBar: maxGenDBar, Perturb: 0.02}},
+		{Generator: &GeneratorSpec{N: 100, DBar: maxGenDBar, Perturb: 0.4}},
+		{Generator: &GeneratorSpec{Type: "synthetic", Perturb: 0.1}},
+		{Generator: &GeneratorSpec{Type: "dmela-scere"}},
+		{Generator: &GeneratorSpec{Type: "homo-musm", Scale: 1}},
+		{Generator: &GeneratorSpec{Type: "lcsh-wiki", Scale: 0.05}},
+		{Generator: &GeneratorSpec{Type: "lcsh-rameau", Scale: 0.02}},
+	}
+	for i, s := range good {
+		if err := s.Validate(); err != nil {
+			t.Errorf("valid spec %d rejected: %v", i, err)
+		}
 	}
 	bad := []Spec{
 		{Method: "nope", Generator: &GeneratorSpec{N: 10}},
@@ -655,6 +669,19 @@ func TestSpecValidateUnit(t *testing.T) {
 		{Method: "bp", Format: "hdf5", Generator: &GeneratorSpec{N: 10}},
 		{Method: "bp", A: "x", B: "y"},
 		{Method: "bp", Problem: "p", Generator: &GeneratorSpec{N: 10}},
+		{Generator: &GeneratorSpec{N: maxGenVertices + 1}},
+		{Generator: &GeneratorSpec{N: -1}},
+		{Generator: &GeneratorSpec{DBar: maxGenDBar + 0.5}},
+		{Generator: &GeneratorSpec{DBar: -1}},
+		{Generator: &GeneratorSpec{Perturb: -0.01}},
+		{Generator: &GeneratorSpec{Perturb: 0.11}},
+		{Generator: &GeneratorSpec{N: maxGenVertices, Perturb: 0.021}},
+		{Generator: &GeneratorSpec{Type: "nope"}},
+		{Generator: &GeneratorSpec{Type: "dmela-scere", Scale: 1.5}},
+		{Generator: &GeneratorSpec{Type: "homo-musm", Scale: -0.1}},
+		{Generator: &GeneratorSpec{Type: "lcsh-wiki"}},
+		{Generator: &GeneratorSpec{Type: "lcsh-wiki", Scale: 0.06}},
+		{Generator: &GeneratorSpec{Type: "lcsh-rameau", Scale: 0.03}},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
