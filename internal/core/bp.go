@@ -79,10 +79,11 @@ type BPOptions struct {
 	// solver builds one reusable matcher per batch slot from it, which
 	// is what makes steady-state rounding allocation-free.
 	Matcher matching.MatcherSpec
-	// Workspace supplies reusable solver buffers; nil allocates a
-	// private one for the solve. Handing the same workspace to
-	// successive solves on same-shaped problems removes the per-solve
-	// buffer allocations too. A workspace serves one solve at a time.
+	// Workspace supplies reusable solver buffers; nil borrows a spare
+	// one for the solve from a process-wide pool. Handing the same
+	// workspace to successive solves on same-shaped problems removes
+	// the per-solve buffer allocations too. A workspace serves one
+	// solve at a time.
 	Workspace *Workspace
 	// SkipFinalExact disables the final exact rounding of the best
 	// heuristic (used by the scaling studies).
@@ -200,7 +201,8 @@ func (p *Problem) bpAlign(ctx context.Context, o BPOptions) (*AlignResult, error
 
 	ws := opts.Workspace
 	if ws == nil {
-		ws = NewWorkspace()
+		ws = spareWorkspaces.Get().(*Workspace)
+		defer spareWorkspaces.Put(ws)
 	}
 	ws.ensureBP(mEL, nnz)
 	if err := ws.ensureRound(p, opts.Matcher, opts.Batch+1); err != nil {

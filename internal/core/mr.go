@@ -48,10 +48,11 @@ type MROptions struct {
 	// rows"). The solver builds one reusable matcher from it, which is
 	// what makes the steady-state rounding allocation-free.
 	Matcher matching.MatcherSpec
-	// Workspace supplies reusable solver buffers; nil allocates a
-	// private one for the solve. Handing the same workspace to
-	// successive solves on same-shaped problems removes the per-solve
-	// buffer allocations too. A workspace serves one solve at a time.
+	// Workspace supplies reusable solver buffers; nil borrows a spare
+	// one for the solve from a process-wide pool. Handing the same
+	// workspace to successive solves on same-shaped problems removes
+	// the per-solve buffer allocations too. A workspace serves one
+	// solve at a time.
 	Workspace *Workspace
 	// GreedyRowMatch replaces the exact per-row matchings of Step 1
 	// with the greedy half-approximation. The paper always uses exact
@@ -250,7 +251,8 @@ func (p *Problem) mrAlign(ctx context.Context, o MROptions) (*AlignResult, error
 
 	ws := opts.Workspace
 	if ws == nil {
-		ws = NewWorkspace()
+		ws = spareWorkspaces.Get().(*Workspace)
+		defer spareWorkspaces.Put(ws)
 	}
 	ws.ensureMR(mEL, nnz)
 	if err := ws.ensureRound(p, opts.Matcher, 1); err != nil {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync"
+
 	"netalignmc/internal/bipartite"
 	"netalignmc/internal/matching"
 	"netalignmc/internal/parallel"
@@ -15,8 +17,8 @@ import (
 // largest problem seen and are never shrunk.
 //
 // A workspace serves one solve at a time; concurrent solves need one
-// workspace each. A nil workspace in the options is always valid and
-// simply allocates a private one per solve.
+// workspace each. A nil workspace in the options is always valid: the
+// solve borrows a spare one for its run (see spareWorkspaces).
 type Workspace struct {
 	// Belief-propagation state: message vectors over E_L and the
 	// overlap messages over nnz(S), plus the numeric guard's
@@ -46,6 +48,14 @@ type Workspace struct {
 	// the current (problem, worker count); see Workspace.ensureParts.
 	parts partitionSet
 }
+
+// spareWorkspaces lends workspaces to solves whose options carry none
+// and takes them back when the solve ends, so back-to-back solves
+// reuse buffers the size of S instead of each allocating a fresh set
+// and leaving the last one to the collector. Solves reinitialize every
+// buffer they read, so a borrowed workspace gives the same results as
+// a new one.
+var spareWorkspaces = sync.Pool{New: func() any { return NewWorkspace() }}
 
 // NewWorkspace returns an empty workspace; buffers are sized on first
 // use. The constructor exists so callers can hold one across solves.

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"netalignmc/internal/core"
-	"netalignmc/internal/matching"
 	"netalignmc/internal/stats"
 )
 
@@ -39,8 +38,8 @@ func Convergence(c Config, problem string) (*ConvergenceResult, error) {
 		return nil, err
 	}
 	res := &ConvergenceResult{Problem: problem}
-	mr := p.KlauAlign(core.MROptions{Iterations: c.Iterations, Trace: true, Matcher: matching.MatcherSpec{Name: "approx"}})
-	bp := p.BPAlign(core.BPOptions{Iterations: c.Iterations, Trace: true, Matcher: matching.MatcherSpec{Name: "approx"}})
+	mr := p.KlauAlign(core.MROptions{Iterations: c.Iterations, Trace: true, Matcher: paperMatcher})
+	bp := p.BPAlign(core.BPOptions{Iterations: c.Iterations, Trace: true, Matcher: paperMatcher})
 	res.MRTrace = mr.ObjectiveTrace
 	res.BPTrace = bp.ObjectiveTrace
 	res.MRDecreases, res.MRBestAt = traceStats(res.MRTrace)

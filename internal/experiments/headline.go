@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"netalignmc/internal/core"
-	"netalignmc/internal/matching"
 	"netalignmc/internal/stats"
 )
 
@@ -48,7 +47,7 @@ func Headline(c Config, problem string) (*HeadlineResult, error) {
 	start = time.Now()
 	fast := p.BPAlign(core.BPOptions{
 		Iterations: c.Iterations, Threads: res.Threads, Batch: 20,
-		Gamma: 0.99, Matcher: matching.MatcherSpec{Name: "approx"},
+		Gamma: 0.99, Matcher: paperMatcher,
 	})
 	res.FastTime = time.Since(start)
 	res.FastObjective = fast.Objective

@@ -1,7 +1,6 @@
 package matching
 
 import (
-	"container/heap"
 	"math"
 
 	"netalignmc/internal/bipartite"
@@ -21,6 +20,11 @@ import (
 // only positive-weight edges, which is what a maximum-weight matching
 // does.
 //
+// Cost: each of the |V_A| searches resets and re-prices only the right
+// vertices it reached, so a call costs O(|V_A|+|V_B|) once plus the
+// Dijkstra work of the searches, and allocates a constant number of
+// buffers regardless of graph size.
+//
 // The threads argument is accepted for Matcher compatibility but
 // ignored: exact augmenting-path matching is the inherently serial
 // baseline whose lack of concurrency motivates the paper.
@@ -38,105 +42,11 @@ func Exact(g *bipartite.Graph, threads int) *Result {
 			maxW = w
 		}
 	}
-	// Right-side vertex space: real vertices [0, nb), dummies
-	// [nb, nb+na) with dummy of a at nb+a.
-	nr := nb + na
-	cost := func(e int) float64 { return maxW - g.W[e] } // real edge cost
-	dummyCost := maxW
-
-	potL := make([]float64, na)
-	potR := make([]float64, nr)
-	mateL := make([]int, na) // right vertex matched to a, -1 if none yet
-	mateR := make([]int, nr) // left vertex matched to right, -1 if none
-	for i := range mateL {
-		mateL[i] = -1
-	}
-	for j := range mateR {
-		mateR[j] = -1
-	}
-
-	dist := make([]float64, nr)
-	prevL := make([]int, nr)
-	done := make([]bool, nr)
-
-	pq := &pairHeap{}
-	for s := 0; s < na; s++ {
-		// Dijkstra over right vertices from the free left vertex s.
-		for j := range dist {
-			dist[j] = math.Inf(1)
-			prevL[j] = -1
-			done[j] = false
-		}
-		pq.items = pq.items[:0]
-		relax := func(i int, base float64) {
-			lo, hi := g.RowRange(i)
-			for e := lo; e < hi; e++ {
-				j := g.EdgeB[e]
-				if done[j] {
-					continue
-				}
-				nd := base + cost(e) - potL[i] - potR[j]
-				if nd < dist[j] {
-					dist[j] = nd
-					prevL[j] = i
-					heap.Push(pq, pairItem{nd, j})
-				}
-			}
-			dj := nb + i
-			if !done[dj] {
-				nd := base + dummyCost - potL[i] - potR[dj]
-				if nd < dist[dj] {
-					dist[dj] = nd
-					prevL[dj] = i
-					heap.Push(pq, pairItem{nd, dj})
-				}
-			}
-		}
-		relax(s, 0)
-		end := -1
-		for pq.Len() > 0 {
-			it := heap.Pop(pq).(pairItem)
-			j := it.key
-			if done[j] || it.dist > dist[j] {
-				continue
-			}
-			done[j] = true
-			if mateR[j] == -1 {
-				end = j
-				break
-			}
-			relax(mateR[j], dist[j])
-		}
-		if end == -1 {
-			// Unreachable: the dummy partner guarantees a free right
-			// vertex is always reachable.
-			continue
-		}
-		// Potential update keeps reduced costs nonnegative and makes
-		// the augmenting path tight.
-		delta := dist[end]
-		potL[s] += delta
-		for j := 0; j < nr; j++ {
-			if !done[j] || j == end {
-				continue
-			}
-			potR[j] += dist[j] - delta
-			potL[mateR[j]] += delta - dist[j]
-		}
-		// Augment along prevL back to s.
-		j := end
-		for {
-			i := prevL[j]
-			mateR[j] = i
-			j, mateL[i] = mateL[i], j
-			if i == s {
-				break
-			}
-		}
-	}
+	var sp ssp
+	sp.solve(na, nb, g.RowPtr, g.EdgeB, g.W, maxW)
 
 	for a := 0; a < na; a++ {
-		b := mateL[a]
+		b := sp.mateL[a]
 		if b < 0 || b >= nb {
 			continue // unmatched or matched to its dummy
 		}
@@ -152,24 +62,181 @@ func Exact(g *bipartite.Graph, threads int) *Result {
 	return r
 }
 
+// ssp is the successive-shortest-path solver behind Exact and
+// SubsetMatcher, with buffers reusable across calls. Right vertices
+// are the real ones [0, nb) followed by one dummy per left vertex, the
+// dummy of a at nb+a.
+type ssp struct {
+	potL, potR   []float64
+	mateL, mateR []int // partner, -1 if none yet
+	dist         []float64
+	prevL        []int
+	done         []bool
+	// touched lists the right vertices the current search reached
+	// (finite dist); only they are re-priced and reset afterwards.
+	touched []int
+	heap    []pairItem
+}
+
+// solve matches the na left vertices of the CSR graph (rowPtr, col, w)
+// with costs maxW − w and a dummy edge of cost maxW per left vertex.
+// Afterwards mateL[a] < nb names a's real partner.
+func (m *ssp) solve(na, nb int, rowPtr, col []int, w []float64, maxW float64) {
+	nr := nb + na
+	m.potL = growFloats(m.potL, na)
+	m.potR = growFloats(m.potR, nr)
+	m.mateL = growInts(m.mateL, na)
+	m.mateR = growInts(m.mateR, nr)
+	m.dist = growFloats(m.dist, nr)
+	m.prevL = growInts(m.prevL, nr)
+	m.done = growBools(m.done, nr)
+	if cap(m.touched) < nr {
+		m.touched = make([]int, 0, nr)
+	}
+	if cap(m.heap) < nr {
+		m.heap = make([]pairItem, 0, nr)
+	}
+	for i := 0; i < na; i++ {
+		m.potL[i] = 0
+		m.mateL[i] = -1
+	}
+	for j := 0; j < nr; j++ {
+		m.potR[j] = 0
+		m.mateR[j] = -1
+		m.dist[j] = math.Inf(1)
+		m.prevL[j] = -1
+		m.done[j] = false
+	}
+
+	for s := 0; s < na; s++ {
+		// Dijkstra over right vertices from the free left vertex s.
+		m.touched = m.touched[:0]
+		m.heap = m.heap[:0]
+		m.relax(s, 0, nb, rowPtr, col, w, maxW)
+		end := -1
+		for len(m.heap) > 0 {
+			it := m.pop()
+			j := it.key
+			if m.done[j] || it.dist > m.dist[j] {
+				continue
+			}
+			m.done[j] = true
+			if m.mateR[j] == -1 {
+				end = j
+				break
+			}
+			m.relax(m.mateR[j], m.dist[j], nb, rowPtr, col, w, maxW)
+		}
+		// end == -1 is unreachable: the dummy partner guarantees a free
+		// right vertex is always reachable.
+		if end >= 0 {
+			// Potential update keeps reduced costs nonnegative and
+			// makes the augmenting path tight. Every potR[j] and
+			// potL[mateR[j]] changes at most once, so visiting only the
+			// touched vertices, in any order, gives the same bits as a
+			// full scan.
+			delta := m.dist[end]
+			m.potL[s] += delta
+			for _, j := range m.touched {
+				if !m.done[j] || j == end {
+					continue
+				}
+				m.potR[j] += m.dist[j] - delta
+				m.potL[m.mateR[j]] += delta - m.dist[j]
+			}
+			// Augment along prevL back to s.
+			j := end
+			for {
+				i := m.prevL[j]
+				m.mateR[j] = i
+				j, m.mateL[i] = m.mateL[i], j
+				if i == s {
+					break
+				}
+			}
+		}
+		for _, j := range m.touched {
+			m.dist[j] = math.Inf(1)
+			m.prevL[j] = -1
+			m.done[j] = false
+		}
+	}
+}
+
+// relax pushes the edges of left vertex i (plus its dummy) into the
+// heap from path length base.
+func (m *ssp) relax(i int, base float64, nb int, rowPtr, col []int, w []float64, maxW float64) {
+	for e := rowPtr[i]; e < rowPtr[i+1]; e++ {
+		j := col[e]
+		if m.done[j] {
+			continue
+		}
+		nd := base + (maxW - w[e]) - m.potL[i] - m.potR[j]
+		m.lower(j, i, nd)
+	}
+	if dj := nb + i; !m.done[dj] {
+		m.lower(dj, i, base+maxW-m.potL[i]-m.potR[dj])
+	}
+}
+
+// lower records a path of length nd to right vertex j through left
+// vertex i if it beats the best known one.
+func (m *ssp) lower(j, i int, nd float64) {
+	if nd < m.dist[j] {
+		if math.IsInf(m.dist[j], 1) {
+			m.touched = append(m.touched, j)
+		}
+		m.dist[j] = nd
+		m.prevL[j] = i
+		m.push(pairItem{nd, j})
+	}
+}
+
 // pairItem is a (distance, right-vertex) heap entry with lazy deletion.
 type pairItem struct {
 	dist float64
 	key  int
 }
 
-type pairHeap struct{ items []pairItem }
+// push and pop are container/heap's Push and Pop on a typed slice,
+// with the same sift order, so equal distances pop in the same order
+// without boxing every entry into an interface.
+func (m *ssp) push(it pairItem) {
+	h := append(m.heap, it)
+	j := len(h) - 1
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !(h[j].dist < h[i].dist) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+	m.heap = h
+}
 
-func (h *pairHeap) Len() int           { return len(h.items) }
-func (h *pairHeap) Less(i, j int) bool { return h.items[i].dist < h.items[j].dist }
-func (h *pairHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *pairHeap) Push(x interface{}) { h.items = append(h.items, x.(pairItem)) }
-func (h *pairHeap) Pop() interface{} {
-	old := h.items
-	n := len(old)
-	it := old[n-1]
-	h.items = old[:n-1]
-	return it
+func (m *ssp) pop() pairItem {
+	h := m.heap
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	i := 0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 {
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h[j2].dist < h[j1].dist {
+			j = j2 // right child
+		}
+		if !(h[j].dist < h[i].dist) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	m.heap = h[:n]
+	return h[n]
 }
 
 // ExactSubset solves a maximum-weight matching restricted to a subset

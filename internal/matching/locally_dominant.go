@@ -218,13 +218,6 @@ func NewLocallyDominantMatcher(opts LocallyDominantOptions) Matcher {
 	}
 }
 
-// Approx is the default approximate Matcher: the locally-dominant
-// algorithm with one-sided initialization, the configuration the paper
-// settles on for its experiments.
-func Approx(g *bipartite.Graph, threads int) *Result {
-	return LocallyDominant(g, threads, LocallyDominantOptions{OneSidedInit: true})
-}
-
 // ldState is the shared state of one LocallyDominant run. Vertices are
 // numbered over the combined space: a ∈ V_A is vertex a; b ∈ V_B is
 // vertex NA+b.
@@ -422,9 +415,14 @@ func (st *ldState) candidateOf(v int32) int32 {
 	c := atomic.LoadInt32(&st.candidate[v])
 	if c == ldUnset {
 		c = st.findMate(v)
-		// Another thread may be doing the same; either result is a
-		// valid heaviest-unmatched snapshot, last write wins.
-		st.setCandidate(v, c)
+		// Another thread may be doing the same; the first result
+		// stands. A later lazy write could otherwise replace a
+		// candidate that another thread already tested dominance
+		// against with one nobody tests: v and its new candidate
+		// would then point at each other and stay unmatched.
+		if !atomic.CompareAndSwapInt32(&st.candidate[v], ldUnset, c) {
+			c = atomic.LoadInt32(&st.candidate[v])
+		}
 	}
 	return c
 }

@@ -89,29 +89,23 @@ func (r *Result) IndicatorInto(g *bipartite.Graph, x []float64) []float64 {
 // running matchers in parallel (batched rounding) hold one per worker.
 type MatchInto func(g *bipartite.Graph, threads int, out *Result) *Result
 
-// Reusable returns a MatchInto for the spec. The locally-dominant
-// family and Suitor get genuinely reusable scratch; the remaining
-// algorithms (exact, greedy, path-growing, auction) fall back to the
-// plain Matcher and copy into out, preserving the interface contract
-// without pretending to be allocation-free.
+// Reusable returns a MatchInto for the spec. locally-dominant and
+// Suitor (which approx runs) get genuinely reusable scratch; the
+// remaining algorithms (exact, greedy, path-growing, auction) fall
+// back to the plain Matcher and copy into out, preserving the
+// interface contract without pretending to be allocation-free.
 func (s MatcherSpec) Reusable() (MatchInto, error) {
 	if err := s.validateParams(); err != nil {
 		return nil, err
 	}
 	switch s.Name {
-	case "approx":
-		sc := &LocallyDominantScratch{}
-		opts := LocallyDominantOptions{OneSidedInit: true, SortedAdjacency: s.Sorted, Chunk: s.Chunk}
-		return func(g *bipartite.Graph, threads int, out *Result) *Result {
-			return LocallyDominantInto(g, threads, opts, sc, out)
-		}, nil
 	case "locally-dominant":
 		sc := &LocallyDominantScratch{}
 		opts := LocallyDominantOptions{OneSidedInit: s.OneSided, SortedAdjacency: s.Sorted, Chunk: s.Chunk}
 		return func(g *bipartite.Graph, threads int, out *Result) *Result {
 			return LocallyDominantInto(g, threads, opts, sc, out)
 		}, nil
-	case "suitor":
+	case "approx", "suitor":
 		sc := &SuitorScratch{}
 		return func(g *bipartite.Graph, threads int, out *Result) *Result {
 			return SuitorInto(g, threads, sc, out)

@@ -21,11 +21,14 @@ import (
 //	locally-dominant(onesided=true,sorted=true,chunk=256)
 //	auction(eps=1e-4)
 //
-// Recognized names: exact, greedy, approx (the paper's configuration:
-// locally-dominant with one-sided initialization), locally-dominant,
-// suitor, path-growing, auction. The zero value selects exact
-// matching, so an absent configuration field keeps the historical
-// default.
+// Recognized names: exact, greedy, approx, locally-dominant, suitor,
+// path-growing, auction. approx runs Suitor, which returns the same
+// matching as the paper's configuration, locally-dominant with
+// one-sided initialization, at lower cost; that configuration itself
+// is locally-dominant(onesided=true). approx accepts sorted and chunk
+// and ignores them, and its canonical text keeps them. The zero value
+// selects exact matching, so an absent configuration field keeps the
+// historical default.
 type MatcherSpec struct {
 	// Name selects the algorithm; empty means exact.
 	Name string
@@ -33,13 +36,14 @@ type MatcherSpec struct {
 	// only; 0 selects 1e-6).
 	Eps float64
 	// OneSided enables the bipartite one-sided initialization
-	// (locally-dominant only; the "approx" name implies it).
+	// (locally-dominant only; parsing "approx" sets it, and approx
+	// ignores it).
 	OneSided bool
 	// Sorted enables the sorted-adjacency FINDMATE acceleration
-	// (locally-dominant only).
+	// (locally-dominant; accepted and ignored by approx).
 	Sorted bool
 	// Chunk overrides the dynamic-schedule chunk size
-	// (locally-dominant only; 0 = default).
+	// (locally-dominant, 0 = default; accepted and ignored by approx).
 	Chunk int
 }
 
@@ -216,12 +220,7 @@ func (s MatcherSpec) Matcher() (Matcher, error) {
 	case "greedy":
 		return Greedy, nil
 	case "approx":
-		if !s.Sorted && s.Chunk == 0 {
-			return Approx, nil
-		}
-		return NewLocallyDominantMatcher(LocallyDominantOptions{
-			OneSidedInit: true, SortedAdjacency: s.Sorted, Chunk: s.Chunk,
-		}), nil
+		return Approx, nil
 	case "locally-dominant":
 		return NewLocallyDominantMatcher(LocallyDominantOptions{
 			OneSidedInit: s.OneSided, SortedAdjacency: s.Sorted, Chunk: s.Chunk,

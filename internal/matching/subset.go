@@ -1,10 +1,6 @@
 package matching
 
-import (
-	"math"
-
-	"netalignmc/internal/bipartite"
-)
+import "netalignmc/internal/bipartite"
 
 // SubsetMatcher solves maximum-weight matching subproblems restricted
 // to subsets of a bipartite graph's edges, reusing preallocated
@@ -30,17 +26,10 @@ type SubsetMatcher struct {
 	wgt          []float64
 	origPos      []int // input position of each compact edge
 	aOrig        []int // original A id per compact A vertex (diagnostics)
-
-	// Successive-shortest-path scratch (sized to subNB + subNA right
-	// vertices: real vertices then one dummy per left vertex).
-	potL, potR   []float64
-	mateL        []int
-	mateR        []int
-	dist         []float64
-	prevL        []int
-	done         []bool
-	heap         []pairItem
 	countScratch []int
+
+	// Successive-shortest-path scratch, reused across calls.
+	sp ssp
 }
 
 // NewSubsetMatcher returns a matcher for subproblems of a graph with
@@ -153,73 +142,13 @@ func (m *SubsetMatcher) Solve(g *bipartite.Graph, edges []int, weights []float64
 
 	// Successive shortest paths with potentials; costs are maxW−w ≥ 0,
 	// each left vertex has a private dummy right vertex of cost maxW.
-	nr := nb + na
-	m.potL = growFloats(m.potL, na)
-	m.potR = growFloats(m.potR, nr)
-	m.mateL = growInts(m.mateL, na)
-	m.mateR = growInts(m.mateR, nr)
-	m.dist = growFloats(m.dist, nr)
-	m.prevL = growInts(m.prevL, nr)
-	m.done = growBools(m.done, nr)
-	for i := 0; i < na; i++ {
-		m.potL[i] = 0
-		m.mateL[i] = -1
-	}
-	for j := 0; j < nr; j++ {
-		m.potR[j] = 0
-		m.mateR[j] = -1
-	}
-
-	for s := 0; s < na; s++ {
-		for j := 0; j < nr; j++ {
-			m.dist[j] = math.Inf(1)
-			m.prevL[j] = -1
-			m.done[j] = false
-		}
-		m.heap = m.heap[:0]
-		m.relax(s, 0, maxW, nb)
-		end := -1
-		for len(m.heap) > 0 {
-			it := m.heapPop()
-			j := it.key
-			if m.done[j] || it.dist > m.dist[j] {
-				continue
-			}
-			m.done[j] = true
-			if m.mateR[j] == -1 {
-				end = j
-				break
-			}
-			m.relax(m.mateR[j], m.dist[j], maxW, nb)
-		}
-		if end == -1 {
-			continue
-		}
-		delta := m.dist[end]
-		m.potL[s] += delta
-		for j := 0; j < nr; j++ {
-			if !m.done[j] || j == end {
-				continue
-			}
-			m.potR[j] += m.dist[j] - delta
-			m.potL[m.mateR[j]] += delta - m.dist[j]
-		}
-		j := end
-		for {
-			i := m.prevL[j]
-			m.mateR[j] = i
-			j, m.mateL[i] = m.mateL[i], j
-			if i == s {
-				break
-			}
-		}
-	}
+	m.sp.solve(na, nb, m.rowPtr, m.colB, m.wgt, maxW)
 
 	// Extract: for each matched compact pair, pick the heaviest input
 	// position with that pair (first occurrence after CSR fill order).
 	total := 0.0
 	for a := 0; a < na; a++ {
-		b := m.mateL[a]
+		b := m.sp.mateL[a]
 		if b < 0 || b >= nb {
 			continue
 		}
@@ -281,66 +210,4 @@ func (m *SubsetMatcher) GreedySubset(g *bipartite.Graph, edges []int, weights []
 		total += weights[i]
 	}
 	return selected, total
-}
-
-// relax pushes the edges of compact left vertex i (plus its dummy)
-// into the heap from path length base.
-func (m *SubsetMatcher) relax(i int, base, maxW float64, nb int) {
-	for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-		j := m.colB[k]
-		if m.done[j] {
-			continue
-		}
-		nd := base + (maxW - m.wgt[k]) - m.potL[i] - m.potR[j]
-		if nd < m.dist[j] {
-			m.dist[j] = nd
-			m.prevL[j] = i
-			m.heapPush(pairItem{nd, j})
-		}
-	}
-	dj := nb + i
-	if !m.done[dj] {
-		nd := base + maxW - m.potL[i] - m.potR[dj]
-		if nd < m.dist[dj] {
-			m.dist[dj] = nd
-			m.prevL[dj] = i
-			m.heapPush(pairItem{nd, dj})
-		}
-	}
-}
-
-func (m *SubsetMatcher) heapPush(it pairItem) {
-	m.heap = append(m.heap, it)
-	i := len(m.heap) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if m.heap[parent].dist <= m.heap[i].dist {
-			break
-		}
-		m.heap[parent], m.heap[i] = m.heap[i], m.heap[parent]
-		i = parent
-	}
-}
-
-func (m *SubsetMatcher) heapPop() pairItem {
-	top := m.heap[0]
-	last := len(m.heap) - 1
-	m.heap[0] = m.heap[last]
-	m.heap = m.heap[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(m.heap) && m.heap[l].dist < m.heap[smallest].dist {
-			smallest = l
-		}
-		if r < len(m.heap) && m.heap[r].dist < m.heap[smallest].dist {
-			smallest = r
-		}
-		if smallest == i {
-			return top
-		}
-		m.heap[i], m.heap[smallest] = m.heap[smallest], m.heap[i]
-		i = smallest
-	}
 }

@@ -28,6 +28,17 @@ func Suitor(g *bipartite.Graph, threads int) *Result {
 	return SuitorInto(g, threads, nil, nil)
 }
 
+// Approx is the default approximate Matcher, the one the "approx" spec
+// names: Suitor. The paper rounds with the locally-dominant algorithm
+// with one-sided initialization; both compute the unique greedy
+// matching under the strict (weight, vertex id) order, so Approx
+// returns that matcher's matching, Weight and Card bit for bit at any
+// thread count, and costs less. The paper's matcher stays available as
+// the locally-dominant(onesided=true) spec.
+func Approx(g *bipartite.Graph, threads int) *Result {
+	return Suitor(g, threads)
+}
+
 // SuitorScratch holds the reusable state of Suitor runs, making
 // successive SuitorInto calls on graphs of stable size allocation-free.
 // A scratch serves one matcher call at a time.
@@ -80,18 +91,23 @@ func SuitorInto(g *bipartite.Graph, threads int, scratch *SuitorScratch, out *Re
 	}
 	out.Reset(g)
 	for b := 0; b < g.NB; b++ {
-		a := st.suitor[b]
-		if a < 0 {
-			continue
-		}
 		// Each V_A vertex stands as suitor of at most one V_B vertex,
 		// so reading suitor[b] directly yields a matching.
-		if e, ok := g.Find(int(a), b); ok {
+		if a := st.suitor[b]; a >= 0 {
 			out.MateA[a] = b
 			out.MateB[b] = int(a)
-			out.Weight += g.W[e]
-			out.Card++
 		}
+	}
+	// Total in V_A order, as LocallyDominantInto does, so the two
+	// matchers' equal matchings also carry equal Weight bits. Every
+	// suitor proposed along an edge, so Find always succeeds.
+	for a, b := range out.MateA {
+		if b < 0 {
+			continue
+		}
+		e, _ := g.Find(a, b)
+		out.Weight += g.W[e]
+		out.Card++
 	}
 	return out
 }

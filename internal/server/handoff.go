@@ -237,7 +237,7 @@ func (m *Manager) AdmitHandoff(h *HandoffJob) (*JobStatus, error) {
 	}
 	j := &Job{
 		ID: h.ID, Spec: h.Spec, state: StateQueued,
-		created: h.Created,
+		created:  h.Created,
 		attempts: h.Attempts, preemptions: h.Preemptions,
 		resumes:  h.Resumes,
 		cacheKey: key, hasKey: cacheable,

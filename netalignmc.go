@@ -162,9 +162,11 @@ type Matcher = matching.Matcher
 // "path-growing", "auction"); it marshals to/from text ("suitor",
 // "locally-dominant(sorted=true)", "auction(eps=0.01)"), so it travels
 // through flags, JSON job specs and config files. The zero value is
-// exact matching. It is how BPOptions and MROptions select their
-// rounding matcher: the solvers build reusable (allocation-free)
-// matcher state from the spec.
+// exact matching. "approx" runs Suitor, which returns the same matching
+// as the paper's matcher, "locally-dominant(onesided=true)", at lower
+// cost; it accepts the sorted and chunk parameters and ignores them.
+// It is how BPOptions and MROptions select their rounding matcher: the
+// solvers build reusable (allocation-free) matcher state from the spec.
 type MatcherSpec = matching.MatcherSpec
 
 // ParseMatcherSpec parses a matcher spec string.
@@ -183,9 +185,10 @@ var (
 	// ExactMatcher computes a maximum-weight bipartite matching by
 	// successive shortest augmenting paths (serial).
 	ExactMatcher Matcher = matching.Exact
-	// ApproxMatcher is the parallel locally-dominant half-approximate
-	// matcher with the bipartite one-sided initialization — the
-	// configuration the paper's experiments use.
+	// ApproxMatcher is the parallel half-approximate matcher the
+	// "approx" spec names. It runs Suitor, which returns bit for bit
+	// the matching of the paper's configuration, the locally-dominant
+	// matcher with the bipartite one-sided initialization.
 	ApproxMatcher Matcher = matching.Approx
 	// GreedyMatcher is the serial sorted-greedy half-approximation.
 	GreedyMatcher Matcher = matching.Greedy
