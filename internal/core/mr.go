@@ -268,11 +268,11 @@ func (p *Problem) mrAlign(ctx context.Context, o MROptions) (*AlignResult, error
 	defer e.close()
 
 	u := ws.u       // Lagrange multipliers (upper triangle only)
-	rowW := ws.rowW // β/2·S + U − Uᵀ values
 	sL := ws.sL     // row-matching indicators
 	d := ws.d       // row-matching values
 	wbar := ws.wbar // αw + d
-	zeroFloat64(u, rowW, sL, d, wbar)
+	zeroFloat64(u, d, wbar)
+	clear(sL)
 	gamma := opts.Gamma
 	bestUpper := 0.0
 	haveUpper := false
@@ -325,13 +325,10 @@ func (p *Problem) mrAlign(ctx context.Context, o MROptions) (*AlignResult, error
 	// iteration (§IV-B: "We precompute the maximum memory required for
 	// p threads to run matching problems on the rows of S and
 	// preallocate this memory outside of the iteration"). Sized by the
-	// dispatcher's worker-id bound (see exec.rowWorkers).
-	nWorkers := e.rowWorkers()
-	rowMatchers := make([]*matching.SubsetMatcher, nWorkers)
-	rowSelected := make([][]int, nWorkers)
-	for i := range rowMatchers {
-		rowMatchers[i] = matching.NewSubsetMatcher(p.L.NA, p.L.NB)
-	}
+	// dispatcher's worker-id bound (see exec.rowWorkers). The row plan
+	// holds each row's vertex compaction, which depends only on the
+	// patterns, so it is built once per problem, not per solve.
+	rowPlan, rows := ws.ensureRows(p, e.rowWorkers())
 
 	stopped := StopMaxIter
 	var runErr error
@@ -353,35 +350,32 @@ func (p *Problem) mrAlign(ctx context.Context, o MROptions) (*AlignResult, error
 	var obj, upper float64
 	var gU float64 // γ·tighten, fixed before the Step 5 sweep
 
-	rowWKernel := func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			rowW[k] = beta2*sVal[k] + u[k] - u[perm[k]]
-		}
-	}
 	// One small exact matching per row; the row problems are tiny and
 	// independent, so parallelize across rows over the nnz-balanced row
 	// partition (the row sizes are highly imbalanced) and solve each
-	// with the worker's preallocated scratch.
+	// with the worker's preallocated scratch. The row's weights
+	// β/2·S + U − Uᵀ go to the worker's scratch just before its
+	// matching reads them.
 	rowMatchKernel := func(worker, lo, hi int) {
-		sm := rowMatchers[worker]
+		rs := &rows[worker]
 		for e1 := lo; e1 < hi; e1++ {
 			klo, khi := p.S.RowRange(e1)
 			if klo == khi {
 				d[e1] = 0
 				continue
 			}
-			var selected []int
+			rowW := rs.w[:khi-klo]
+			for k := klo; k < khi; k++ {
+				rowW[k-klo] = beta2*sVal[k] + u[k] - u[perm[k]]
+			}
 			var value float64
 			if opts.GreedyRowMatch {
-				selected, value = sm.GreedySubset(p.L, sCol[klo:khi], rowW[klo:khi], rowSelected[worker][:0])
+				rs.sel, value = rs.sm.GreedySubset(p.L, sCol[klo:khi], rowW, rs.sel[:0])
 			} else {
-				selected, value = sm.Solve(p.L, sCol[klo:khi], rowW[klo:khi], rowSelected[worker][:0])
+				rs.sel, value = rs.sm.SolveRow(rowPlan, e1, rowW, rs.sel[:0])
 			}
-			rowSelected[worker] = selected
-			for k := klo; k < khi; k++ {
-				sL[k] = 0
-			}
-			for _, pos := range selected {
+			clear(sL[klo:khi])
+			for _, pos := range rs.sel {
 				sL[klo+pos] = 1
 			}
 			d[e1] = value
@@ -409,14 +403,11 @@ func (p *Problem) mrAlign(ctx context.Context, o MROptions) (*AlignResult, error
 			if e2 <= e1 {
 				continue // multipliers live on the upper triangle
 			}
-			f := u[k] - gU*x[e1]*sL[k] + gU*sL[perm[k]]*x[e2]
+			f := u[k] - gU*x[e1]*float64(sL[k]) + gU*float64(sL[perm[k]])*x[e2]
 			u[k] = sparse.Bound(f, -bound, bound)
 		}
 	}
-	step1 := func() {
-		e.forNNZ(ctx, nnz, rowWKernel)
-		e.forSRowsWorker(p.S.NumRows, rowMatchKernel)
-	}
+	step1 := func() { e.forSRowsWorker(ctx, p.S.NumRows, rowMatchKernel) }
 	step2 := func() { e.forEdges(mEL, daxpyKernel) }
 	// Step 3: match w̄ on L's structure with the slot's reusable
 	// matcher, then re-base the matching on L's true weights.

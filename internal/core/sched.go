@@ -127,12 +127,12 @@ func (e *exec) forSRows(ctx context.Context, n int, body func(lo, hi int)) {
 // forSRowsWorker is forSRows with a worker id for per-worker scratch.
 // Scratch must be sized by rowWorkers, the single source of truth for
 // how many distinct ids the body can observe.
-func (e *exec) forSRowsWorker(n int, body func(worker, lo, hi int)) {
+func (e *exec) forSRowsWorker(ctx context.Context, n int, body func(worker, lo, hi int)) {
 	if e.pool == nil {
-		body(0, 0, n)
+		e.inlineCtx(ctx, n, func(lo, hi int) { body(0, lo, hi) })
 		return
 	}
-	e.pool.ForOffsetsWorker(e.parts.sRows, body)
+	e.pool.ForOffsetsWorkerCtx(ctx, e.parts.sRows, e.chunk, body)
 }
 
 // rowWorkers reports how many distinct worker ids forSRowsWorker can

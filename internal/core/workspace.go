@@ -28,11 +28,18 @@ type Workspace struct {
 	sk, skPrev, f        []float64
 	goodY, goodZ, goodSK []float64
 
-	// Matching-relaxation state: multipliers and row-matching values
-	// over nnz(S), the combined heuristic over E_L, and the guard
-	// snapshot of the multipliers.
-	u, rowW, sL, goodU []float64
-	wbar               []float64
+	// Matching-relaxation state: multipliers and row-matching
+	// indicators over nnz(S), the combined heuristic over E_L, and the
+	// guard snapshot of the multipliers.
+	u, goodU []float64
+	sL       []byte
+	wbar     []float64
+
+	// The row matchings' plan for rowsP, built once per problem (see
+	// ensureRows), and one row scratch per worker.
+	rowPlan matching.RowPlan
+	rowsP   *Problem
+	rows    []rowScratch
 
 	// Rounding state: one slot per concurrently rounded heuristic
 	// (BP's batch size; one for MR). Slots are heap-stable pointers:
@@ -123,11 +130,41 @@ func (ws *Workspace) ensureBP(mEL, nnz int) {
 // ensureMR sizes the matching-relaxation buffers.
 func (ws *Workspace) ensureMR(mEL, nnz int) {
 	ws.u = growFloat64(ws.u, nnz)
-	ws.rowW = growFloat64(ws.rowW, nnz)
-	ws.sL = growFloat64(ws.sL, nnz)
+	if cap(ws.sL) < nnz {
+		ws.sL = make([]byte, nnz)
+	}
+	ws.sL = ws.sL[:nnz]
 	ws.goodU = growFloat64(ws.goodU, nnz)
 	ws.wbar = growFloat64(ws.wbar, mEL)
 	ws.d = growFloat64(ws.d, mEL)
+}
+
+// rowScratch is one worker's state for MR's row matchings: the
+// matcher's scratch, the weights of the row being solved, and the
+// selected positions.
+type rowScratch struct {
+	sm  *matching.SubsetMatcher
+	w   []float64
+	sel []int
+}
+
+// ensureRows returns MR's row plan for p and scratch for workers
+// workers. The plan depends only on the patterns of S and L, so it is
+// built when the problem changes and a warm re-solve reuses it and the
+// scratch as they are.
+func (ws *Workspace) ensureRows(p *Problem, workers int) (*matching.RowPlan, []rowScratch) {
+	if ws.rowsP != p {
+		ws.rowsP = p
+		ws.rowPlan.Build(p.L, p.S.Ptr, p.S.Col)
+		ws.rows = ws.rows[:0]
+	}
+	for len(ws.rows) < workers {
+		ws.rows = append(ws.rows, rowScratch{
+			sm: matching.NewSubsetMatcher(p.L.NA, p.L.NB),
+			w:  make([]float64, ws.rowPlan.MaxRow()),
+		})
+	}
+	return &ws.rowPlan, ws.rows[:workers]
 }
 
 // ensureRound prepares n rounding slots for problem p, each with its

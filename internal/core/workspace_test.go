@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"netalignmc/internal/core"
+	"netalignmc/internal/gen"
 	"netalignmc/internal/matching"
 )
 
@@ -113,6 +114,53 @@ func TestPooledSteadyStateLowAlloc(t *testing.T) {
 	}
 }
 
+// maxWarmMRAllocs bounds the allocations of a whole warm MR solve:
+// the per-solve constants (result, tracker, options, the run's pool)
+// come to 17 at Threads=1 and 27 at Threads=2. Rebuilding the row plan
+// and the per-worker row scratch on every solve adds 120 to 250 more,
+// as the matchers' search buffers grow back.
+const maxWarmMRAllocs = 40
+
+// TestMRWarmSolveBuildsNothing checks that a warm MR solve on the same
+// problem and workspace reuses the row plan and the per-worker row
+// scratch: its allocation count stays under maxWarmMRAllocs and does
+// not depend on the problem's size.
+func TestMRWarmSolveBuildsNothing(t *testing.T) {
+	for _, threads := range []int{1, 2} {
+		counts := map[int]float64{}
+		for _, n := range []int{400, 2000} {
+			o := gen.DefaultSynthetic(8, 1000003)
+			o.N = n
+			p, err := gen.Synthetic(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ws := core.NewWorkspace()
+			solve := func() {
+				_, err := p.Align(context.Background(), core.Options{Method: core.MethodMR, MR: core.MROptions{
+					Iterations: 3, Threads: threads,
+					Matcher:        matching.MatcherSpec{Name: "approx"},
+					Workspace:      ws,
+					SkipFinalExact: true,
+				}})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			solve() // builds the plan and the scratch
+			counts[n] = testing.AllocsPerRun(3, solve)
+			if counts[n] > maxWarmMRAllocs {
+				t.Errorf("threads=%d n=%d: a warm MR solve allocates %.0f objects, want at most %d",
+					threads, n, counts[n], maxWarmMRAllocs)
+			}
+		}
+		if counts[400] != counts[2000] {
+			t.Errorf("threads=%d: warm MR solve allocations depend on size: %.0f at n=400, %.0f at n=2000",
+				threads, counts[400], counts[2000])
+		}
+	}
+}
+
 // TestWorkspaceReuseAcrossMethodsAndSolves checks that one workspace
 // can serve BP, then MR, then BP again (with a different matcher spec)
 // and still produce the same results as fresh-workspace solves.
@@ -148,6 +196,27 @@ func TestWorkspaceReuseAcrossMethodsAndSolves(t *testing.T) {
 		}
 		if err := got.Matching.Validate(p.L); err != nil {
 			t.Errorf("step %d: %v", i, err)
+		}
+	}
+}
+
+// TestMRWorkspaceAcrossProblems alternates one workspace between two
+// problems of different sizes: the row plan is per problem, so each
+// switch must rebuild it, and every solve must match a fresh-workspace
+// solve bit for bit, at one thread and with a worker pool.
+func TestMRWorkspaceAcrossProblems(t *testing.T) {
+	probs := []*core.Problem{smallSynthetic(t, 106), syntheticProblem(t, 150)}
+	ws := core.NewWorkspace()
+	for _, threads := range []int{1, 3} {
+		for i := 0; i < 4; i++ {
+			p := probs[i%2]
+			o := core.MROptions{Iterations: 6, Threads: threads}
+			want := p.KlauAlign(o)
+			o.Workspace = ws
+			got := p.KlauAlign(o)
+			if math.Float64bits(got.Objective) != math.Float64bits(want.Objective) {
+				t.Fatalf("threads=%d solve %d: shared-workspace objective %v != fresh %v", threads, i, got.Objective, want.Objective)
+			}
 		}
 	}
 }

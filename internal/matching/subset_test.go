@@ -5,7 +5,16 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"netalignmc/internal/bipartite"
 )
+
+// solveSubset solves one subset problem through a one-row plan.
+func solveSubset(sm *SubsetMatcher, g *bipartite.Graph, edges []int, weights []float64, selected []int) ([]int, float64) {
+	var pl RowPlan
+	pl.Build(g, []int{0, len(edges)}, edges)
+	return sm.SolveRow(&pl, 0, weights, selected)
+}
 
 func TestSubsetMatcherMatchesExactSubset(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -14,7 +23,7 @@ func TestSubsetMatcherMatchesExactSubset(t *testing.T) {
 		nb := rng.Intn(8) + 1
 		g := randomGraph(rng, na, nb, 0.6)
 		sm := NewSubsetMatcher(na, nb)
-		// Several Solve calls on the same matcher: scratch reuse must
+		// Several SolveRow calls on the same matcher: scratch reuse must
 		// not leak state between calls.
 		for call := 0; call < 4; call++ {
 			var edges []int
@@ -26,7 +35,7 @@ func TestSubsetMatcherMatchesExactSubset(t *testing.T) {
 				}
 			}
 			wantSel, wantVal := ExactSubset(g, edges, weights)
-			gotSel, gotVal := sm.Solve(g, edges, weights, nil)
+			gotSel, gotVal := solveSubset(sm, g, edges, weights, nil)
 			if math.Abs(wantVal-gotVal) > 1e-9 {
 				t.Fatalf("trial %d call %d: value %g != %g", trial, call, gotVal, wantVal)
 			}
@@ -61,9 +70,9 @@ func TestSubsetMatcherAppendsToSelected(t *testing.T) {
 	edges := []int{0}
 	weights := []float64{g.W[0]}
 	base := []int{42}
-	sel, _ := sm.Solve(g, edges, weights, base)
+	sel, _ := solveSubset(sm, g, edges, weights, base)
 	if len(sel) < 1 || sel[0] != 42 {
-		t.Fatalf("Solve must append to the given slice: %v", sel)
+		t.Fatalf("SolveRow must append to the given slice: %v", sel)
 	}
 }
 
@@ -71,10 +80,10 @@ func TestSubsetMatcherEmptyAndNonPositive(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := randomGraph(rng, 3, 3, 0.9)
 	sm := NewSubsetMatcher(3, 3)
-	if sel, val := sm.Solve(g, nil, nil, nil); sel != nil || val != 0 {
+	if sel, val := solveSubset(sm, g, nil, nil, nil); sel != nil || val != 0 {
 		t.Fatal("empty input nonzero")
 	}
-	if sel, val := sm.Solve(g, []int{0, 1}, []float64{-1, 0}, nil); len(sel) != 0 || val != 0 {
+	if sel, val := solveSubset(sm, g, []int{0, 1}, []float64{-1, 0}, nil); len(sel) != 0 || val != 0 {
 		t.Fatal("non-positive weights selected")
 	}
 }
@@ -89,13 +98,15 @@ func TestSubsetMatcherNoAllocAfterWarmup(t *testing.T) {
 		edges = append(edges, e)
 		weights = append(weights, g.W[e])
 	}
+	var pl RowPlan
+	pl.Build(g, []int{0, len(edges)}, edges)
 	sel := make([]int, 0, len(edges))
-	sm.Solve(g, edges, weights, sel[:0]) // warm-up
+	sm.SolveRow(&pl, 0, weights, sel[:0]) // warm-up
 	allocs := testing.AllocsPerRun(50, func() {
-		sm.Solve(g, edges, weights, sel[:0])
+		sm.SolveRow(&pl, 0, weights, sel[:0])
 	})
 	if allocs > 1 {
-		t.Fatalf("Solve allocates %.1f objects per call after warm-up", allocs)
+		t.Fatalf("SolveRow allocates %.1f objects per call after warm-up", allocs)
 	}
 }
 
@@ -116,7 +127,7 @@ func TestGreedySubsetHalfApprox(t *testing.T) {
 			}
 		}
 		gSel, gVal := sm.GreedySubset(g, edges, weights, nil)
-		_, exVal := sm.Solve(g, edges, weights, nil)
+		_, exVal := solveSubset(sm, g, edges, weights, nil)
 		// Validity: selection is a matching with the claimed value.
 		usedA := map[int]bool{}
 		usedB := map[int]bool{}
@@ -153,11 +164,13 @@ func BenchmarkSubsetMatcher(b *testing.B) {
 		edges = append(edges, e)
 		weights = append(weights, g.W[e])
 	}
+	var pl RowPlan
+	pl.Build(g, []int{0, len(edges)}, edges)
 	sel := make([]int, 0, len(edges))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sel, _ = sm.Solve(g, edges, weights, sel[:0])
+		sel, _ = sm.SolveRow(&pl, 0, weights, sel[:0])
 	}
 }
 

@@ -196,7 +196,7 @@ func forOffsetsCtxSpawn(ctx context.Context, offsets []int, chunk int, body func
 	return ctx.Err()
 }
 
-func forOffsetsWorkerSpawn(offsets []int, body func(worker, lo, hi int)) {
+func forOffsetsWorkerCtxSpawn(done <-chan struct{}, offsets []int, chunk int, body func(worker, lo, hi int)) {
 	spawnRegionsCount.Add(1)
 	parts := len(offsets) - 1
 	var pb panicBox
@@ -210,7 +210,7 @@ func forOffsetsWorkerSpawn(offsets []int, body func(worker, lo, hi int)) {
 		go func(k, lo, hi int) {
 			defer wg.Done()
 			defer pb.capture()
-			body(k, lo, hi)
+			runChunkedWorker(done, k, lo, hi, chunk, body)
 		}(k, lo, hi)
 	}
 	wg.Wait()

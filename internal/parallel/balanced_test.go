@@ -1,9 +1,12 @@
 package parallel
 
 import (
+	"context"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // checkOffsets validates the structural invariants of a partition.
@@ -127,7 +130,7 @@ func TestForOffsetsWorkerIsPartIndex(t *testing.T) {
 		pl := NewPool(size)
 		var mu sync.Mutex
 		seen := map[int][2]int{}
-		pl.ForOffsetsWorker(offsets, func(w, lo, hi int) {
+		pl.ForOffsetsWorkerCtx(context.Background(), offsets, 0, func(w, lo, hi int) {
 			mu.Lock()
 			seen[w] = [2]int{lo, hi}
 			mu.Unlock()
@@ -143,5 +146,87 @@ func TestForOffsetsWorkerIsPartIndex(t *testing.T) {
 				t.Fatalf("pool size %d: part %d ran as %v, want %v", size, k, seen[k], r)
 			}
 		}
+	}
+}
+
+// A cancellable context splits each part into polled sub-chunks; every
+// sub-chunk of part k must still run as worker k, and together they
+// must cover the part exactly once.
+func TestForOffsetsWorkerCtxChunksKeepPartIndex(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	offsets := []int{0, 0, 50, 50, 120, 200}
+	for _, size := range []int{len(offsets) - 1, 2} {
+		pl := NewPool(size)
+		var mu sync.Mutex
+		covered := make([]int, offsets[len(offsets)-1])
+		err := pl.ForOffsetsWorkerCtx(ctx, offsets, 7, func(w, lo, hi int) {
+			mu.Lock()
+			defer mu.Unlock()
+			if lo < offsets[w] || hi > offsets[w+1] {
+				t.Errorf("pool size %d: [%d,%d) ran as worker %d", size, lo, hi, w)
+			}
+			for i := lo; i < hi; i++ {
+				covered[i]++
+			}
+		})
+		pl.Close()
+		if err != nil {
+			t.Fatalf("pool size %d: %v", size, err)
+		}
+		for i, c := range covered {
+			if c != 1 {
+				t.Fatalf("pool size %d: index %d covered %d times", size, i, c)
+			}
+		}
+	}
+}
+
+// A context that is already cancelled runs no chunk, on the pool, on
+// the spawning fallback and for a single part, and reports the
+// cancellation.
+func TestForOffsetsWorkerCtxPreCancelledRunsNothing(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var ran atomic.Int64
+	body := func(w, lo, hi int) { ran.Add(1) }
+	pl := NewPool(4)
+	defer pl.Close()
+	small := NewPool(2)
+	defer small.Close()
+	for name, run := range map[string]func() error{
+		"pool":   func() error { return pl.ForOffsetsWorkerCtx(ctx, ctxOffsets(1000), 10, body) },
+		"spawn":  func() error { return small.ForOffsetsWorkerCtx(ctx, ctxOffsets(1000), 10, body) },
+		"single": func() error { return pl.ForOffsetsWorkerCtx(ctx, []int{0, 1000}, 10, body) },
+	} {
+		if err := run(); err != context.Canceled {
+			t.Fatalf("%s: err = %v, want context.Canceled", name, err)
+		}
+	}
+	if n := ran.Load(); n != 0 {
+		t.Fatalf("pre-cancelled loops ran %d chunks", n)
+	}
+}
+
+// Cancelling mid-run stops the loop between sub-chunks.
+func TestForOffsetsWorkerCtxStopsOnCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	pl := NewPool(4)
+	defer pl.Close()
+	done := make(chan error, 1)
+	go func() {
+		done <- pl.ForOffsetsWorkerCtx(ctx, ctxOffsets(1_000_000), 10, func(w, lo, hi int) {
+			time.Sleep(100 * time.Microsecond)
+		})
+	}()
+	time.Sleep(10 * time.Millisecond)
+	cancel()
+	select {
+	case err := <-done:
+		if err != context.Canceled {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("loop did not stop after cancel")
 	}
 }

@@ -328,6 +328,16 @@ func runChunked(done <-chan struct{}, lo, hi, chunk int, body func(lo, hi int)) 
 	}
 }
 
+// runChunkedWorker is runChunked for a body that takes a worker id. A
+// nil done runs [lo, hi) in one call.
+func runChunkedWorker(done <-chan struct{}, worker, lo, hi, chunk int, body func(worker, lo, hi int)) {
+	if done == nil {
+		body(worker, lo, hi)
+		return
+	}
+	runChunked(done, lo, hi, chunk, func(lo, hi int) { body(worker, lo, hi) })
+}
+
 func forStaticCtxSpawn(ctx context.Context, n, p, chunk int, body func(lo, hi int)) error {
 	spawnRegionsCount.Add(1)
 	done := ctx.Done()

@@ -146,7 +146,7 @@ func (pl *Pool) runWorker(t int) {
 		switch {
 		case lo >= hi:
 		case pl.mode == regionOffsetsWorker:
-			pl.bodyW(t, lo, hi)
+			runChunkedWorker(pl.done, t, lo, hi, pl.chunk, pl.bodyW)
 		case pl.done == nil:
 			pl.body(lo, hi)
 		default:
@@ -407,28 +407,41 @@ func (pl *Pool) ForOffsetsCtx(ctx context.Context, offsets []int, chunk int, bod
 	return ctx.Err()
 }
 
-// ForOffsetsWorker is ForOffsets with the part index exposed as the
-// worker id, for per-worker scratch: part k always runs with worker
-// id k, on the pool and on the spawning fallback alike, so scratch
-// selection is deterministic.
-func (pl *Pool) ForOffsetsWorker(offsets []int, body func(worker, lo, hi int)) {
+// ForOffsetsWorkerCtx is ForOffsetsCtx with the part index exposed as
+// the worker id, for per-worker scratch: part k always runs with
+// worker id k, on the pool and on the spawning fallback alike, so
+// scratch selection is deterministic. A cancellable ctx is polled
+// between sub-chunks of chunk indices, as in ForOffsetsCtx; one that
+// is already done runs no chunk.
+func (pl *Pool) ForOffsetsWorkerCtx(ctx context.Context, offsets []int, chunk int, body func(worker, lo, hi int)) error {
+	var done <-chan struct{}
+	if cancellable(ctx) {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		done = ctx.Done()
+	}
 	parts := len(offsets) - 1
 	if parts <= 0 || offsets[parts] <= offsets[0] {
-		return
+		return nil
 	}
-	if parts == 1 {
-		body(0, offsets[0], offsets[1])
-		return
+	switch {
+	case parts == 1:
+		runChunkedWorker(done, 0, offsets[0], offsets[1], chunk, body)
+	case parts > pl.size || !pl.tryAcquire():
+		forOffsetsWorkerCtxSpawn(done, offsets, chunk, body)
+	default:
+		pl.mode = regionOffsetsWorker
+		pl.chunk = chunk
+		pl.offsets = offsets
+		pl.bodyW = body
+		pl.done = done
+		pl.dispatch(parts)
 	}
-	if parts > pl.size || !pl.tryAcquire() {
-		forOffsetsWorkerSpawn(offsets, body)
-		return
+	if done == nil {
+		return nil
 	}
-	pl.mode = regionOffsetsWorker
-	pl.offsets = offsets
-	pl.bodyW = body
-	pl.done = nil
-	pl.dispatch(parts)
+	return ctx.Err()
 }
 
 // Reduce is ReduceFloat64 dispatched on the pool, using the pool's
