@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"netalignmc/internal/bipartite"
-	"netalignmc/internal/graph"
 	"netalignmc/internal/matching"
 )
 
@@ -29,8 +28,6 @@ func main() {
 		reps    = flag.Int("reps", 3, "repetitions (minimum time reported)")
 		threads = flag.String("threads", "1", "comma-separated thread counts for the parallel matchers")
 		exact   = flag.Bool("exact", false, "also run the exact matcher (slow on large graphs)")
-		general = flag.Bool("general", false, "also benchmark the general-graph matchers on an R-MAT graph")
-		scale   = flag.Int("rmat-scale", 14, "R-MAT scale for -general (2^scale vertices)")
 	)
 	flag.Parse()
 
@@ -98,51 +95,4 @@ func main() {
 		bench("suitor", matching.Suitor, t)
 	}
 
-	if *general {
-		fmt.Println("\ngeneral-graph matchers on R-MAT:")
-		gg := graph.RMAT(rng, graph.DefaultRMAT(*scale, 8))
-		weights := map[graph.Edge]float64{}
-		for _, e := range gg.Edges() {
-			weights[e] = rng.Float64()
-		}
-		wg, err := matching.NewWeightedGraph(gg, weights)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchmatch: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("graph: %d vertices, %d edges (max degree %d)\n",
-			gg.NumVertices(), gg.NumEdges(), gg.MaxDegree())
-		benchGeneral := func(name string, f func() (mate []int, w float64)) {
-			best := time.Duration(0)
-			var w float64
-			var matched int
-			for i := 0; i < *reps; i++ {
-				start := time.Now()
-				mate, wt := f()
-				el := time.Since(start)
-				if best == 0 || el < best {
-					best = el
-				}
-				w = wt
-				matched = 0
-				for _, m := range mate {
-					if m >= 0 {
-						matched++
-					}
-				}
-			}
-			fmt.Printf("%-26s weight=%12.2f matched=%8d time=%v\n",
-				name, w, matched, best.Round(time.Microsecond))
-		}
-		benchGeneral("greedy-general", func() ([]int, float64) { return matching.GreedyGeneral(wg) })
-		for _, t := range threadList {
-			t := t
-			benchGeneral(fmt.Sprintf("locally-dominant t=%d", t), func() ([]int, float64) {
-				return matching.LocallyDominantGeneral(wg, t)
-			})
-			benchGeneral(fmt.Sprintf("suitor t=%d", t), func() ([]int, float64) {
-				return matching.SuitorGeneral(wg, t)
-			})
-		}
-	}
 }

@@ -66,18 +66,3 @@ func ExampleProblem_BaselineAlign() {
 	// Output:
 	// objective=4
 }
-
-// ExampleLocallyDominantGeneral matches a general (non-bipartite)
-// weighted graph, the algorithm's native setting.
-func ExampleLocallyDominantGeneral() {
-	g := netalignmc.GraphFromEdges(3, []netalignmc.GraphEdge{
-		{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2},
-	})
-	wg, _ := netalignmc.NewWeightedGraph(g, map[netalignmc.GraphEdge]float64{
-		{U: 0, V: 1}: 5, {U: 1, V: 2}: 3, {U: 0, V: 2}: 1,
-	})
-	mate, w := netalignmc.LocallyDominantGeneral(wg, 0)
-	fmt.Printf("weight=%.0f mate=%v\n", w, mate)
-	// Output:
-	// weight=5 mate=[1 0 -1]
-}

@@ -1,7 +1,6 @@
-// Matcher library tour: run every bipartite matcher on one candidate
-// graph and the general-graph matcher on an R-MAT-style graph,
-// comparing weight and runtime — the §V design space the paper chooses
-// the locally-dominant algorithm from.
+// Matcher library tour: run every bipartite matcher on one random
+// candidate graph, comparing weight and runtime — the §V design space
+// the paper chooses the locally-dominant algorithm from.
 package main
 
 import (
@@ -54,37 +53,4 @@ func main() {
 			entry.name, r.Weight, r.Weight/exactW, r.Card, el.Round(time.Microsecond))
 	}
 
-	// Maximum cardinality, ignoring weights.
-	hk := netalignmc.HopcroftKarp(l, nil)
-	fmt.Printf("%-18s card=%d (weights ignored)\n\n", "hopcroft-karp", hk.Card)
-
-	// General (non-bipartite) matching on a small skewed graph.
-	gb := netalignmc.NewGraphBuilder(500)
-	weights := map[netalignmc.GraphEdge]float64{}
-	for i := 0; i < 1500; i++ {
-		u, v := rng.Intn(500), rng.Intn(500)
-		if u == v {
-			continue
-		}
-		if u > v {
-			u, v = v, u
-		}
-		gb.AddEdge(u, v)
-		weights[netalignmc.GraphEdge{U: u, V: v}] = rng.Float64()
-	}
-	g := gb.Build()
-	// Fill weights for deduplicated edge set.
-	wg, err := netalignmc.NewWeightedGraph(g, weights)
-	if err != nil {
-		log.Fatal(err)
-	}
-	mate, w := netalignmc.LocallyDominantGeneral(wg, 0)
-	matched := 0
-	for _, m := range mate {
-		if m >= 0 {
-			matched++
-		}
-	}
-	fmt.Printf("general graph: %d vertices %d edges -> matched %d vertices, weight %.2f\n",
-		g.NumVertices(), g.NumEdges(), matched, w)
 }

@@ -188,15 +188,6 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-// TotalWeight returns Σ w_e.
-func (g *Graph) TotalWeight() float64 {
-	s := 0.0
-	for _, w := range g.W {
-		s += w
-	}
-	return s
-}
-
 // WithWeights returns a graph sharing this graph's structure with a
 // different weight vector (in the canonical edge order). Used to pose
 // matching subproblems over L with iteration-dependent weights without

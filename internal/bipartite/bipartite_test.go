@@ -65,7 +65,7 @@ func TestNewErrors(t *testing.T) {
 
 func TestEmptyGraph(t *testing.T) {
 	g := mustNew(t, 0, 0, nil)
-	if g.NumEdges() != 0 || g.TotalWeight() != 0 {
+	if g.NumEdges() != 0 {
 		t.Fatal("empty graph nonzero")
 	}
 	g2 := mustNew(t, 4, 4, nil)
@@ -109,13 +109,6 @@ func TestColViewCoversAllEdges(t *testing.T) {
 		if !s {
 			t.Fatalf("edge %d missing from column view", e)
 		}
-	}
-}
-
-func TestTotalWeight(t *testing.T) {
-	g := mustNew(t, 2, 2, []WeightedEdge{{0, 0, 1.5}, {1, 1, 2.5}})
-	if g.TotalWeight() != 4 {
-		t.Fatalf("TotalWeight = %g", g.TotalWeight())
 	}
 }
 

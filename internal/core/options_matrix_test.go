@@ -131,25 +131,3 @@ func TestMROptionMatrix(t *testing.T) {
 		}
 	}
 }
-
-func TestReportConservedSubgraph(t *testing.T) {
-	p := smallSynthetic(t, 83)
-	res := p.BPAlign(core.BPOptions{Iterations: 20})
-	rep := p.NewReport(res.Matching, nil, 1)
-	sub := rep.ConservedSubgraph(p)
-	if err := sub.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if sub.NumVertices() != p.A.NumVertices() {
-		t.Fatalf("conserved subgraph has %d vertices", sub.NumVertices())
-	}
-	if sub.NumEdges() != int(rep.Overlap) {
-		t.Fatalf("conserved subgraph %d edges != overlap %g", sub.NumEdges(), rep.Overlap)
-	}
-	// Every conserved edge must exist in A.
-	for _, e := range sub.Edges() {
-		if !p.A.HasEdge(e.U, e.V) {
-			t.Fatalf("conserved edge %+v not in A", e)
-		}
-	}
-}

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"netalignmc/internal/bipartite"
-	"netalignmc/internal/graph"
 	"netalignmc/internal/matching"
 )
 
@@ -31,15 +30,6 @@ type Report struct {
 	// EdgeCorrectness is the standard network-alignment quality metric
 	// EC = (# overlapped edges) / min(|E_A|, |E_B|) ∈ [0, 1].
 	EdgeCorrectness float64
-
-	// Stopped and NumericFailures carry the run's stop reason and
-	// numeric-guard trip count when the report was built from an
-	// AlignResult (NewReportFromResult); HasRun marks that case so a
-	// plain matching report does not render a misleading
-	// "max-iterations" line.
-	HasRun          bool
-	Stopped         StopReason
-	NumericFailures int
 
 	// OverlappedPairs lists, for each overlapped pair of graph edges,
 	// the two L-edges realizing it (each unordered pair once).
@@ -107,35 +97,6 @@ func (p *Problem) NewReport(r *matching.Result, reference *matching.Result, thre
 	return rep
 }
 
-// NewReportFromResult builds a report for an alignment run, carrying
-// the run's stop reason and numeric-guard activity alongside the
-// matching quality metrics.
-func (p *Problem) NewReportFromResult(res *AlignResult, reference *matching.Result, threads int) *Report {
-	rep := p.NewReport(res.Matching, reference, threads)
-	rep.HasRun = true
-	rep.Stopped = res.Stopped
-	rep.NumericFailures = res.NumericFailures
-	return rep
-}
-
-// ConservedSubgraph builds the subgraph of A induced by the overlapped
-// edges — the "conserved" structure both networks share under the
-// alignment, which is the object of interest in the bioinformatics
-// applications (conserved interaction pathways). The returned graph
-// has A's vertex set; its edges are exactly the A-edges realized by
-// OverlappedPairs.
-func (rep *Report) ConservedSubgraph(p *Problem) *graph.Graph {
-	b := graph.NewBuilder(p.A.NumVertices())
-	for _, pair := range rep.OverlappedPairs {
-		i := p.L.EdgeA[pair[0]]
-		j := p.L.EdgeA[pair[1]]
-		if i != j && p.A.HasEdge(i, j) {
-			b.AddEdge(i, j)
-		}
-	}
-	return b.Build()
-}
-
 // String renders the report.
 func (rep *Report) String() string {
 	var b strings.Builder
@@ -147,12 +108,6 @@ func (rep *Report) String() string {
 	if rep.Precision > 0 || rep.Recall > 0 {
 		fmt.Fprintf(&b, "precision    %.3f\n", rep.Precision)
 		fmt.Fprintf(&b, "recall       %.3f\n", rep.Recall)
-	}
-	if rep.HasRun {
-		fmt.Fprintf(&b, "stopped      %s\n", rep.Stopped)
-		if rep.NumericFailures > 0 {
-			fmt.Fprintf(&b, "numeric guard tripped %d time(s)\n", rep.NumericFailures)
-		}
 	}
 	return b.String()
 }

@@ -135,37 +135,6 @@ func Synthetic(o SyntheticOptions) (*core.Problem, error) {
 	return core.NewProblem(a, b, l, o.Alpha, o.Beta, o.Threads)
 }
 
-// RMATProblem builds an alignment problem whose base graph is R-MAT
-// instead of power-law: the graph family the underlying matcher work
-// (Halappanavar et al.) benchmarks on, with heavier skew and deeper
-// hub structure than the Chung–Lu construction. The perturbation and
-// L construction follow the paper's synthetic recipe.
-func RMATProblem(scale, edgeFactor int, expectedDegree float64, seed int64, threads int) (*core.Problem, error) {
-	rng := rand.New(rand.NewSource(seed))
-	g := graph.RMAT(rng, graph.DefaultRMAT(scale, edgeFactor))
-	n := g.NumVertices()
-	a := graph.Perturb(rng, g, 0.02)
-	b := graph.Perturb(rng, g, 0.02)
-	edges := make([]bipartite.WeightedEdge, 0, n*int(expectedDegree+2))
-	for v := 0; v < n; v++ {
-		edges = append(edges, bipartite.WeightedEdge{A: v, B: v, W: 1})
-	}
-	p := expectedDegree / float64(n)
-	if p > 0 {
-		noise := graph.ErdosRenyi(rng, n, p)
-		for _, e := range noise.Edges() {
-			edges = append(edges,
-				bipartite.WeightedEdge{A: e.U, B: e.V, W: 1},
-				bipartite.WeightedEdge{A: e.V, B: e.U, W: 1})
-		}
-	}
-	l, err := bipartite.New(n, n, edges)
-	if err != nil {
-		return nil, fmt.Errorf("gen: building L: %w", err)
-	}
-	return core.NewProblem(a, b, l, 1, 2, threads)
-}
-
 // StandInOptions parameterizes a real-dataset stand-in: two power-law
 // graphs of different sizes sharing a planted common subgraph, and an
 // L whose candidate lists have fairly regular degree, as the paper

@@ -179,31 +179,6 @@ func TestScaledClamping(t *testing.T) {
 	}
 }
 
-func TestRMATProblem(t *testing.T) {
-	p, err := RMATProblem(7, 6, 3, 5, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.A.NumVertices() != 128 || p.B.NumVertices() != 128 {
-		t.Fatalf("sides %d/%d", p.A.NumVertices(), p.B.NumVertices())
-	}
-	if p.L.NumEdges() < 128 {
-		t.Fatalf("|E_L| = %d", p.L.NumEdges())
-	}
-	if err := p.Verify(200, nil); err != nil {
-		t.Fatal(err)
-	}
-	// The planted identity should carry overlap signal on a connected
-	// skewed base graph.
-	if ov := p.Overlap(p.IdentityIndicator(), 1); ov <= 0 {
-		t.Fatalf("identity overlap %g", ov)
-	}
-	res := p.BPAlign(core.BPOptions{Iterations: 15})
-	if err := res.Matching.Validate(p.L); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSyntheticQualitySignal(t *testing.T) {
 	// The planted alignment must dominate random matchings: its
 	// objective should exceed the all-zero and be within reach of the

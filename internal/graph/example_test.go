@@ -25,10 +25,3 @@ func ExamplePowerLaw() {
 	// Output:
 	// true true
 }
-
-func ExampleGraph_DegreeHistogram() {
-	g := graph.FromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3}})
-	fmt.Println(g.DegreeHistogram())
-	// Output:
-	// [0 3 0 1]
-}

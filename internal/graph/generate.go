@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -202,83 +201,6 @@ func Perturb(rng *rand.Rand, g *Graph, p float64) *Graph {
 		}
 	}
 	return b.Build()
-}
-
-// RMATOptions parameterizes the recursive-matrix (R-MAT / Kronecker)
-// generator used by the matcher evaluations the paper builds on
-// (Halappanavar et al. benchmark their locally-dominant matcher on
-// R-MAT graphs). Scale gives 2^Scale vertices; EdgeFactor the average
-// directed edges per vertex before deduplication; A, B, C are the
-// upper-left, upper-right and lower-left quadrant probabilities (the
-// lower-right is the remainder).
-type RMATOptions struct {
-	Scale      int
-	EdgeFactor int
-	A, B, C    float64
-}
-
-// DefaultRMAT returns the Graph500-style parameters (0.57, 0.19, 0.19).
-func DefaultRMAT(scale, edgeFactor int) RMATOptions {
-	return RMATOptions{Scale: scale, EdgeFactor: edgeFactor, A: 0.57, B: 0.19, C: 0.19}
-}
-
-// RMAT generates an undirected R-MAT graph: each edge picks its
-// endpoints by descending Scale levels of a 2x2 probability quadrant.
-// Self loops and duplicates are dropped by the builder, so the
-// realized edge count is somewhat below Scale·EdgeFactor — the skewed,
-// community-free degree structure is what matters.
-func RMAT(rng *rand.Rand, o RMATOptions) *Graph {
-	if o.Scale < 1 {
-		o.Scale = 1
-	}
-	if o.EdgeFactor < 1 {
-		o.EdgeFactor = 1
-	}
-	n := 1 << o.Scale
-	b := NewBuilder(n)
-	m := n * o.EdgeFactor
-	for i := 0; i < m; i++ {
-		u, v := 0, 0
-		for level := 0; level < o.Scale; level++ {
-			r := rng.Float64()
-			switch {
-			case r < o.A:
-				// upper-left: no bits set
-			case r < o.A+o.B:
-				v |= 1 << level
-			case r < o.A+o.B+o.C:
-				u |= 1 << level
-			default:
-				u |= 1 << level
-				v |= 1 << level
-			}
-		}
-		if u != v {
-			b.AddEdge(u, v)
-		}
-	}
-	return b.Build()
-}
-
-// Relabel returns a copy of g with vertex v renamed perm[v]. perm must
-// be a permutation of 0..n-1.
-func Relabel(g *Graph, perm []int) (*Graph, error) {
-	n := g.NumVertices()
-	if len(perm) != n {
-		return nil, fmt.Errorf("graph: permutation length %d != %d vertices", len(perm), n)
-	}
-	seen := make([]bool, n)
-	for _, p := range perm {
-		if p < 0 || p >= n || seen[p] {
-			return nil, fmt.Errorf("graph: invalid permutation entry %d", p)
-		}
-		seen[p] = true
-	}
-	b := NewBuilder(n)
-	for _, e := range g.Edges() {
-		b.AddEdge(perm[e.U], perm[e.V])
-	}
-	return b.Build(), nil
 }
 
 // RandomPermutation returns a uniformly random permutation of 0..n-1.

@@ -157,54 +157,6 @@ func TestPerturbOnlyAdds(t *testing.T) {
 	}
 }
 
-func TestRMATBasics(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	g := RMAT(rng, DefaultRMAT(10, 8))
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if g.NumVertices() != 1024 {
-		t.Fatalf("NumVertices = %d", g.NumVertices())
-	}
-	// Deduplication shrinks, but a healthy fraction must survive.
-	if g.NumEdges() < 1024 {
-		t.Fatalf("only %d edges realized", g.NumEdges())
-	}
-	// R-MAT with a=0.57 is strongly skewed: the max degree should be a
-	// large multiple of the mean.
-	mean := 2 * float64(g.NumEdges()) / float64(g.NumVertices())
-	if float64(g.MaxDegree()) < 4*mean {
-		t.Fatalf("max degree %d vs mean %.1f; R-MAT skew missing", g.MaxDegree(), mean)
-	}
-}
-
-func TestRMATClampsDegenerateOptions(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	g := RMAT(rng, RMATOptions{Scale: 0, EdgeFactor: 0, A: 0.25, B: 0.25, C: 0.25})
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if g.NumVertices() != 2 {
-		t.Fatalf("NumVertices = %d, want 2 (scale clamped to 1)", g.NumVertices())
-	}
-}
-
-func TestDegreeHistogram(t *testing.T) {
-	g := FromEdges(4, []Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3}})
-	h := g.DegreeHistogram()
-	// Star: one vertex of degree 3, three of degree 1.
-	if len(h) != 4 || h[3] != 1 || h[1] != 3 || h[0] != 0 {
-		t.Fatalf("histogram = %v", h)
-	}
-	total := 0
-	for _, c := range h {
-		total += c
-	}
-	if total != g.NumVertices() {
-		t.Fatalf("histogram sums to %d", total)
-	}
-}
-
 func TestGeneratorsDeterministic(t *testing.T) {
 	g1 := PowerLaw(rand.New(rand.NewSource(77)), 300, 2.0, 1, 25)
 	g2 := PowerLaw(rand.New(rand.NewSource(77)), 300, 2.0, 1, 25)

@@ -69,17 +69,6 @@ func (g *Graph) Edges() []Edge {
 	return edges
 }
 
-// MaxDegree returns the maximum vertex degree (0 for an empty graph).
-func (g *Graph) MaxDegree() int {
-	max := 0
-	for v := 0; v < g.NumVertices(); v++ {
-		if d := g.Degree(v); d > max {
-			max = d
-		}
-	}
-	return max
-}
-
 // Validate checks the structural invariants of the CSR representation:
 // monotone row pointers, sorted duplicate-free neighbor lists, no self
 // loops, and symmetric adjacency. It is used by tests and by the
@@ -196,69 +185,4 @@ func FromEdges(n int, edges []Edge) *Graph {
 		b.AddEdge(e.U, e.V)
 	}
 	return b.Build()
-}
-
-// Subgraph returns the induced subgraph on the given vertices, which
-// are renumbered 0..len(vertices)-1 in the order given. Duplicate
-// vertex ids are rejected.
-func (g *Graph) Subgraph(vertices []int) (*Graph, error) {
-	remap := make(map[int]int, len(vertices))
-	for i, v := range vertices {
-		if v < 0 || v >= g.NumVertices() {
-			return nil, fmt.Errorf("graph: subgraph vertex %d out of range", v)
-		}
-		if _, dup := remap[v]; dup {
-			return nil, fmt.Errorf("graph: duplicate subgraph vertex %d", v)
-		}
-		remap[v] = i
-	}
-	b := NewBuilder(len(vertices))
-	for _, v := range vertices {
-		for _, u := range g.Neighbors(v) {
-			if ru, ok := remap[u]; ok {
-				b.AddEdge(remap[v], ru)
-			}
-		}
-	}
-	return b.Build(), nil
-}
-
-// DegreeHistogram returns counts[d] = number of vertices of degree d,
-// up to the maximum degree.
-func (g *Graph) DegreeHistogram() []int {
-	counts := make([]int, g.MaxDegree()+1)
-	for v := 0; v < g.NumVertices(); v++ {
-		counts[g.Degree(v)]++
-	}
-	return counts
-}
-
-// ConnectedComponents returns a component id for every vertex and the
-// number of components.
-func (g *Graph) ConnectedComponents() (comp []int, count int) {
-	n := g.NumVertices()
-	comp = make([]int, n)
-	for i := range comp {
-		comp[i] = -1
-	}
-	var stack []int
-	for v := 0; v < n; v++ {
-		if comp[v] != -1 {
-			continue
-		}
-		comp[v] = count
-		stack = append(stack[:0], v)
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, w := range g.Neighbors(u) {
-				if comp[w] == -1 {
-					comp[w] = count
-					stack = append(stack, w)
-				}
-			}
-		}
-		count++
-	}
-	return comp, count
 }

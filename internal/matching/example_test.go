@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"netalignmc/internal/bipartite"
-	"netalignmc/internal/graph"
 	"netalignmc/internal/matching"
 )
 
@@ -44,22 +43,6 @@ func ExampleAuction() {
 	fmt.Printf("weight=%.0f card=%d\n", r.Weight, r.Card)
 	// Output:
 	// weight=5 card=2
-}
-
-func ExampleHopcroftKarp() {
-	r := matching.HopcroftKarp(exampleGraph(), nil)
-	fmt.Printf("card=%d\n", r.Card)
-	// Output:
-	// card=2
-}
-
-func ExampleMaxCardinalityGeneral() {
-	// A triangle: only one edge can be matched.
-	g := graph.FromEdges(3, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}})
-	_, card := matching.MaxCardinalityGeneral(g)
-	fmt.Println(card)
-	// Output:
-	// 1
 }
 
 func ExampleExactSubset() {

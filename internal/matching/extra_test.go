@@ -148,93 +148,6 @@ func TestPathGrowingPath(t *testing.T) {
 	}
 }
 
-// --- Hopcroft–Karp and Karp–Sipser ---
-
-// exactCardinality computes the maximum cardinality via the exact
-// weighted matcher with unit weights.
-func exactCardinality(g *bipartite.Graph) int {
-	unit := make([]float64, g.NumEdges())
-	for i := range unit {
-		unit[i] = 1
-	}
-	ug, err := g.WithWeights(unit)
-	if err != nil {
-		panic(err)
-	}
-	return Exact(ug, 1).Card
-}
-
-func TestHopcroftKarpSimple(t *testing.T) {
-	// A 4-cycle a0-b0-a1-b1 has a perfect matching of size 2.
-	g := mustGraph(t, 2, 2, []bipartite.WeightedEdge{
-		{A: 0, B: 0, W: 1}, {A: 0, B: 1, W: 1}, {A: 1, B: 0, W: 1},
-	})
-	r := HopcroftKarp(g, nil)
-	if err := r.Validate(g); err != nil {
-		t.Fatal(err)
-	}
-	if r.Card != 2 {
-		t.Fatalf("HK card = %d, want 2", r.Card)
-	}
-}
-
-func TestHopcroftKarpMaximumCardinality(t *testing.T) {
-	rng := rand.New(rand.NewSource(91))
-	for trial := 0; trial < 40; trial++ {
-		g := randomGraph(rng, rng.Intn(12)+1, rng.Intn(12)+1, 0.3)
-		r := HopcroftKarp(g, nil)
-		if err := r.Validate(g); err != nil {
-			t.Fatal(err)
-		}
-		if want := exactCardinality(g); r.Card != want {
-			t.Fatalf("trial %d: HK card %d != max %d", trial, r.Card, want)
-		}
-	}
-}
-
-func TestHopcroftKarpWarmStart(t *testing.T) {
-	rng := rand.New(rand.NewSource(97))
-	g := randomGraph(rng, 30, 30, 0.15)
-	ks := KarpSipser(g, rand.New(rand.NewSource(1)))
-	warm := HopcroftKarp(g, ks)
-	cold := HopcroftKarp(g, nil)
-	if warm.Card != cold.Card {
-		t.Fatalf("warm start changed cardinality: %d vs %d", warm.Card, cold.Card)
-	}
-	if err := warm.Validate(g); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestKarpSipserValidMaximal(t *testing.T) {
-	rng := rand.New(rand.NewSource(101))
-	for trial := 0; trial < 40; trial++ {
-		g := randomGraph(rng, rng.Intn(15)+1, rng.Intn(15)+1, 0.3)
-		r := KarpSipser(g, rand.New(rand.NewSource(int64(trial))))
-		if err := r.Validate(g); err != nil {
-			t.Fatal(err)
-		}
-		if !r.IsMaximal(g) {
-			t.Fatalf("trial %d: Karp–Sipser matching not maximal", trial)
-		}
-		if want := exactCardinality(g); r.Card > want {
-			t.Fatalf("trial %d: KS card %d exceeds maximum %d", trial, r.Card, want)
-		}
-	}
-}
-
-func TestKarpSipserDegreeOneChain(t *testing.T) {
-	// A path a0-b0-a1-b1-a2: degree-1 endpoints force the matching
-	// {(a0,b0),(a1,b1)} (or symmetric), cardinality 2 = maximum.
-	g := mustGraph(t, 3, 2, []bipartite.WeightedEdge{
-		{A: 0, B: 0, W: 1}, {A: 1, B: 0, W: 1}, {A: 1, B: 1, W: 1}, {A: 2, B: 1, W: 1},
-	})
-	r := KarpSipser(g, rand.New(rand.NewSource(3)))
-	if r.Card != 2 {
-		t.Fatalf("KS card = %d, want 2", r.Card)
-	}
-}
-
 // --- cross-matcher consistency ---
 
 func TestAllMatchersAgreeOnDistinctWeights(t *testing.T) {
@@ -277,15 +190,5 @@ func BenchmarkAuction(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Auction(g, 1, 1e-4)
-	}
-}
-
-func BenchmarkHopcroftKarp(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
-	g := randomGraph(rng, 500, 500, 0.02)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		HopcroftKarp(g, nil)
 	}
 }

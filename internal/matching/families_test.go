@@ -6,12 +6,9 @@ package matching
 
 import (
 	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"netalignmc/internal/bipartite"
-	"netalignmc/internal/graph"
 )
 
 // TestFamilyUniformCompleteBipartite: K_{n,n} with unit weights has
@@ -97,74 +94,5 @@ func TestFamilyStarGadget(t *testing.T) {
 		if math.Abs(r.Weight-want) > 1e-9 {
 			t.Fatalf("%s: stars = %g, want %g", name, r.Weight, want)
 		}
-	}
-}
-
-// TestMaxWeightGeneralExactAgainstBrute validates the bitmask DP
-// against the branch-and-bound reference.
-func TestMaxWeightGeneralExactAgainstBrute(t *testing.T) {
-	f := func(seed int64, nRaw uint8) bool {
-		n := int(nRaw)%10 + 2
-		rng := rand.New(rand.NewSource(seed))
-		g := randomWeighted(rng, n, 0.4)
-		mate, w, err := MaxWeightGeneralExact(g)
-		if err != nil {
-			return false
-		}
-		for v, m := range mate {
-			if m >= 0 && mate[m] != v {
-				return false
-			}
-		}
-		sum := 0.0
-		for v, m := range mate {
-			if m > v {
-				sum += edgeWeight(g, v, m)
-			}
-		}
-		if math.Abs(sum-w) > 1e-9 {
-			return false
-		}
-		return math.Abs(w-bruteGeneral(g)) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// The general half-approximate matchers respect the exact optimum.
-func TestGeneralHalfApproxAgainstExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	for trial := 0; trial < 30; trial++ {
-		g := randomWeighted(rng, rng.Intn(12)+2, 0.35)
-		_, opt, err := MaxWeightGeneralExact(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, ldw := LocallyDominantGeneral(g, 2)
-		_, sw := SuitorGeneral(g, 2)
-		for name, w := range map[string]float64{"ld": ldw, "suitor": sw} {
-			if w < opt/2-1e-9 || w > opt+1e-9 {
-				t.Fatalf("trial %d %s: %g outside [opt/2, opt] of %g", trial, name, w, opt)
-			}
-		}
-	}
-}
-
-func TestMaxWeightGeneralExactLimit(t *testing.T) {
-	b := graph.NewBuilder(30)
-	g, err := NewWeightedGraph(b.Build(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := MaxWeightGeneralExact(g); err == nil {
-		t.Fatal("vertex limit not enforced")
-	}
-	empty, errG := NewWeightedGraph(graph.NewBuilder(0).Build(), nil)
-	if errG != nil {
-		t.Fatal(errG)
-	}
-	if mate, w, err := MaxWeightGeneralExact(empty); err != nil || len(mate) != 0 || w != 0 {
-		t.Fatal("empty graph mishandled")
 	}
 }

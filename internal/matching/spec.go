@@ -66,20 +66,6 @@ func ParseMatcherSpec(text string) (MatcherSpec, error) {
 	return s, nil
 }
 
-// MustMatcher is ParseMatcherSpec + Matcher for statically known
-// specs; it panics on error and exists for tests and examples.
-func MustMatcher(text string) Matcher {
-	s, err := ParseMatcherSpec(text)
-	if err != nil {
-		panic(err)
-	}
-	m, err := s.Matcher()
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // UnmarshalText implements encoding.TextUnmarshaler.
 func (s *MatcherSpec) UnmarshalText(text []byte) error {
 	raw := strings.TrimSpace(string(text))

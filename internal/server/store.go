@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -169,15 +168,6 @@ func (s *Store) LoadMeta(id string) (*Meta, error) {
 	return m, nil
 }
 
-// SaveProblem canonicalizes the problem to the job's problem.txt.
-func (s *Store) SaveProblem(id string, p *core.Problem) error {
-	var buf bytes.Buffer
-	if err := problemio.Write(&buf, p); err != nil {
-		return fmt.Errorf("server: problem %s: %w", id, err)
-	}
-	return s.SaveProblemBytes(id, buf.Bytes())
-}
-
 // SaveProblemBytes persists already-canonicalized problem bytes. The
 // manager serializes each problem once — hashing the bytes for the
 // result cache and spooling the same bytes here — so the cache key and
@@ -246,15 +236,6 @@ func (s *Store) LoadCheckpoint(id string) (*core.Checkpoint, error) {
 		return nil, nil
 	}
 	return problemio.ReadCheckpointFile(path)
-}
-
-// SaveResult persists the job's final result.
-func (s *Store) SaveResult(id string, r *core.ResultJSON) error {
-	data, err := json.Marshal(r)
-	if err != nil {
-		return fmt.Errorf("server: result %s: %w", id, err)
-	}
-	return s.SaveResultBytes(id, data)
 }
 
 // SaveResultBytes persists already-serialized result.json bytes (the

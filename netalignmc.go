@@ -213,12 +213,6 @@ var PathGrowingMatcher Matcher = matching.PathGrowing
 // within n·eps of the optimal weight.
 func NewAuctionMatcher(eps float64) Matcher { return matching.NewAuctionMatcher(eps) }
 
-// HopcroftKarp computes a maximum-cardinality matching (weights
-// ignored), optionally warm-started from a prior matching.
-func HopcroftKarp(g *CandidateGraph, warmStart *Matching) *Matching {
-	return matching.HopcroftKarp(g, warmStart)
-}
-
 // Damping selects the BP damping scheme.
 type Damping = core.Damping
 
@@ -350,38 +344,3 @@ func WriteGraphSMAT(w io.Writer, g *Graph) error { return problemio.WriteGraphSM
 
 // WriteCandidateSMAT writes the candidate graph L in SMAT form.
 func WriteCandidateSMAT(w io.Writer, l *CandidateGraph) error { return problemio.WriteLSMAT(w, l) }
-
-// WeightedGraph pairs an undirected general graph with edge weights,
-// the input of the general-graph locally-dominant matcher.
-type WeightedGraph = matching.WeightedGraph
-
-// NewWeightedGraph builds a weighted general graph from explicit edge
-// weights.
-func NewWeightedGraph(g *Graph, weights map[GraphEdge]float64) (*WeightedGraph, error) {
-	return matching.NewWeightedGraph(g, weights)
-}
-
-// LocallyDominantGeneral runs the parallel half-approximate matcher on
-// a general (non-bipartite) weighted graph, returning the mate array
-// and matched weight.
-func LocallyDominantGeneral(g *WeightedGraph, threads int) (mate []int, weight float64) {
-	return matching.LocallyDominantGeneral(g, threads)
-}
-
-// SuitorGeneral runs the Suitor half-approximate matcher on a general
-// weighted graph.
-func SuitorGeneral(g *WeightedGraph, threads int) (mate []int, weight float64) {
-	return matching.SuitorGeneral(g, threads)
-}
-
-// GreedyGeneral runs the serial sorted-greedy half-approximation on a
-// general weighted graph.
-func GreedyGeneral(g *WeightedGraph) (mate []int, weight float64) {
-	return matching.GreedyGeneral(g)
-}
-
-// MaxCardinalityGeneral computes a maximum-cardinality matching on a
-// general graph with Edmonds' blossom algorithm (weights ignored).
-func MaxCardinalityGeneral(g *Graph) (mate []int, card int) {
-	return matching.MaxCardinalityGeneral(g)
-}

@@ -132,35 +132,6 @@ func TestPublicAPINewMatchers(t *testing.T) {
 			t.Fatalf("%s matched %d edges", name, r.Card)
 		}
 	}
-	hk := netalignmc.HopcroftKarp(p.L, nil)
-	if hk.Card != 2 {
-		t.Fatalf("HopcroftKarp card %d", hk.Card)
-	}
-}
-
-func TestPublicAPIGeneralMatcher(t *testing.T) {
-	g := netalignmc.GraphFromEdges(4, []netalignmc.GraphEdge{
-		{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3},
-	})
-	wg, err := netalignmc.NewWeightedGraph(g, map[netalignmc.GraphEdge]float64{
-		{U: 0, V: 1}: 1, {U: 1, V: 2}: 5, {U: 2, V: 3}: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mate, w := netalignmc.LocallyDominantGeneral(wg, 2)
-	if mate[1] != 2 || mate[2] != 1 || w != 5 {
-		t.Fatalf("general matcher mate=%v w=%g", mate, w)
-	}
-	sm, sw := netalignmc.SuitorGeneral(wg, 2)
-	gm, gw := netalignmc.GreedyGeneral(wg)
-	if sw != 5 || gw != 5 || sm[1] != 2 || gm[1] != 2 {
-		t.Fatalf("suitor/greedy general wrong: %v/%g %v/%g", sm, sw, gm, gw)
-	}
-	bm, card := netalignmc.MaxCardinalityGeneral(g)
-	if card != 2 || bm[0] < 0 {
-		t.Fatalf("blossom card=%d mate=%v", card, bm)
-	}
 }
 
 func TestPublicAPISMAT(t *testing.T) {
