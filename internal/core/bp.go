@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"math"
 	"sync/atomic"
 
 	"netalignmc/internal/matching"
@@ -561,14 +560,4 @@ loop:
 		out.ObjectiveTrace = append([]float64(nil), tr.Objective...)
 	}
 	return out, runErr
-}
-
-// bpSanityCheck verifies finite messages; used in tests via export.
-func bpSanityCheck(vals []float64) bool {
-	for _, v := range vals {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
-		}
-	}
-	return true
 }

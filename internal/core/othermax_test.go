@@ -170,10 +170,10 @@ func TestQuickOthermaxMatchesBrute(t *testing.T) {
 }
 
 func TestBPSanityCheckHelper(t *testing.T) {
-	if !bpSanityCheck([]float64{1, -2, 0}) {
+	if !finiteVector([]float64{1, -2, 0}) {
 		t.Fatal("finite values flagged")
 	}
-	if bpSanityCheck([]float64{math.NaN()}) || bpSanityCheck([]float64{math.Inf(1)}) {
+	if finiteVector([]float64{math.NaN()}) || finiteVector([]float64{math.Inf(1)}) {
 		t.Fatal("non-finite values accepted")
 	}
 }

@@ -291,18 +291,9 @@ func (g *numericGuard) trip() (retry bool) {
 	return true
 }
 
-// maxAbsOrInf returns the maximum absolute value of v, mapping any NaN
-// to +Inf so a single comparison against the guard limit detects both
-// non-finite entries and magnitude explosion.
-func maxAbsOrInf(v []float64, threads int) float64 {
-	if parallel.Threads(threads) == 1 {
-		return maxAbsOrInfRange(v, 0, len(v))
-	}
-	return parallel.ReduceFloat64(len(v), threads, func(lo, hi int) float64 {
-		return maxAbsOrInfRange(v, lo, hi)
-	}, math.Max, 0)
-}
-
+// maxAbsOrInfRange returns the maximum absolute value of v[lo:hi],
+// mapping any NaN to +Inf so a single comparison against the guard
+// limit detects both non-finite entries and magnitude explosion.
 func maxAbsOrInfRange(v []float64, lo, hi int) float64 {
 	m := 0.0
 	for i := lo; i < hi; i++ {

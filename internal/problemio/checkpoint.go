@@ -3,7 +3,9 @@ package problemio
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 	"os"
@@ -23,14 +25,14 @@ func init() {
 	faults.RegisterPoint("checkpoint:rename")
 }
 
-// Checkpoint serialization: a line-oriented text format whose floats
-// are written in Go's hexadecimal floating-point notation ('x'), which
-// round-trips every finite float64 bit for bit — the property the
-// resume-is-bit-identical guarantee of the solvers rests on.
+// Checkpoint serialization. The resume-is-bit-identical guarantee of
+// the solvers rests on every float64 round-tripping bit for bit.
 //
-// Format (whitespace separated, '#' starts a comment line):
+// Version 2 (written by WriteCheckpoint) keeps a few text header lines,
+// so `head` shows what a file is, and stores the vectors as raw
+// little-endian bits:
 //
-//	netalign-checkpoint 1
+//	netalign-checkpoint 2
 //	method bp|mr
 //	iter <int>
 //	problem <na> <nb> <el> <nnz> <alpha> <beta>
@@ -38,83 +40,328 @@ func init() {
 //	bp <gammak>                              (bp only)
 //	mr <gamma> <bestupper> <haveupper 0|1> <sinceimproved>   (mr only)
 //	tracker <hasbest 0|1> <bestiter> <evaluations> <bestobjective>
-//	vec <name> <len>                         followed by the values,
-//	                                         eight per line
-//	mates <len>                              followed by ints, sixteen
-//	                                         per line (-1 = unmatched)
+//	vec <name> <len>                         followed by 8·len bytes:
+//	                                         math.Float64bits, little-endian
+//	mates <len>                              followed by 8·len bytes:
+//	                                         int64, little-endian
+//	                                         (-1 = unmatched)
 //	end
+//	<CRC-32C (Castagnoli) of every byte above, 4 bytes little-endian>
 //
-// Unknown vec names are an error (a checkpoint is versioned state, not
-// a lenient config file). Non-finite values are rejected on read: the
-// solvers only ever checkpoint guarded state, so a NaN in a checkpoint
-// means the file is corrupt.
+// The vectors are y, z, sk (bp) or u (mr), then bestheur and mates
+// when hasbest is 1. Header floats are in Go's hexadecimal notation
+// ('x'), exact like the raw sections. Fields are separated by one
+// space and every number must be spelled as the writer spells it, so
+// an accepted file re-encodes to the same bytes. The checksum is
+// verified before any value is used.
+//
+// Version 1 (still read) has the same header lines under
+// "netalign-checkpoint 1", but is whitespace separated text throughout:
+// '#' starts a comment line, vector values follow their vec line as
+// hexadecimal floats eight per line, mates as decimal ints sixteen per
+// line, and there is no checksum.
+//
+// Both readers reject unknown sections and vectors whose length
+// disagrees with the problem fingerprint (a checkpoint is versioned
+// state, not a lenient config file), non-finite values (the solvers
+// only ever checkpoint guarded state, so a NaN in a checkpoint means
+// the file is corrupt) and mates outside [-1, nb).
 
-const checkpointVersion = "1"
+const checkpointV2Magic = "netalign-checkpoint 2\n"
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// WriteCheckpoint serializes a checkpoint in version 2 with one Write.
+func WriteCheckpoint(w io.Writer, c *core.Checkpoint) error {
+	buf, err := encodeCheckpoint(c)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(buf)
+	return err
+}
 
 func fmtFloat(v float64) string { return strconv.FormatFloat(v, 'x', -1, 64) }
 
-// WriteCheckpoint serializes a checkpoint.
-func WriteCheckpoint(w io.Writer, c *core.Checkpoint) error {
-	if c == nil {
-		return fmt.Errorf("problemio: nil checkpoint")
+func b2i(v bool) int {
+	if v {
+		return 1
 	}
-	if c.Method != "bp" && c.Method != "mr" {
-		return fmt.Errorf("problemio: checkpoint method %q is not bp or mr", c.Method)
-	}
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "netalign-checkpoint %s\n", checkpointVersion)
-	fmt.Fprintf(bw, "method %s\n", c.Method)
-	fmt.Fprintf(bw, "iter %d\n", c.Iter)
-	fmt.Fprintf(bw, "problem %d %d %d %d %s %s\n", c.NA, c.NB, c.EL, c.NNZ, fmtFloat(c.Alpha), fmtFloat(c.Beta))
-	fmt.Fprintf(bw, "guard %s %d\n", fmtFloat(c.Tighten), c.Failures)
-	if c.Method == "bp" {
-		fmt.Fprintf(bw, "bp %s\n", fmtFloat(c.GammaK))
-	} else {
-		have := 0
-		if c.HaveUpper {
-			have = 1
-		}
-		fmt.Fprintf(bw, "mr %s %s %d %d\n", fmtFloat(c.Gamma), fmtFloat(c.BestUpper), have, c.SinceImproved)
-	}
-	has := 0
-	if c.HasBest {
-		has = 1
-	}
-	fmt.Fprintf(bw, "tracker %d %d %d %s\n", has, c.BestIter, c.Evaluations, fmtFloat(c.BestObjective))
-	writeVec := func(name string, v []float64) {
-		fmt.Fprintf(bw, "vec %s %d\n", name, len(v))
-		for i, x := range v {
-			if i%8 == 7 || i == len(v)-1 {
-				fmt.Fprintf(bw, "%s\n", fmtFloat(x))
-			} else {
-				fmt.Fprintf(bw, "%s ", fmtFloat(x))
-			}
-		}
-	}
-	if c.Method == "bp" {
-		writeVec("y", c.Y)
-		writeVec("z", c.Z)
-		writeVec("sk", c.SK)
-	} else {
-		writeVec("u", c.U)
-	}
-	if c.HasBest {
-		writeVec("bestheur", c.BestHeuristic)
-		fmt.Fprintf(bw, "mates %d\n", len(c.BestMateA))
-		for i, m := range c.BestMateA {
-			if i%16 == 15 || i == len(c.BestMateA)-1 {
-				fmt.Fprintf(bw, "%d\n", m)
-			} else {
-				fmt.Fprintf(bw, "%d ", m)
-			}
-		}
-	}
-	fmt.Fprintln(bw, "end")
-	return bw.Flush()
+	return 0
 }
 
-// ReadCheckpoint parses a checkpoint written by WriteCheckpoint.
+// section is one raw float section: its "vec <name> <len>" line and
+// its values.
+type section struct {
+	head string
+	x    []float64
+}
+
+// checkpointSections lists the float sections of c in file order.
+func checkpointSections(c *core.Checkpoint) []section {
+	vec := func(name string, x []float64) section {
+		return section{fmt.Sprintf("vec %s %d\n", name, len(x)), x}
+	}
+	var ss []section
+	if c.Method == "bp" {
+		ss = append(ss, vec("y", c.Y), vec("z", c.Z), vec("sk", c.SK))
+	} else {
+		ss = append(ss, vec("u", c.U))
+	}
+	if c.HasBest {
+		ss = append(ss, vec("bestheur", c.BestHeuristic))
+	}
+	return ss
+}
+
+// encodeCheckpoint returns c's version-2 bytes in one buffer sized
+// exactly from the vector lengths.
+func encodeCheckpoint(c *core.Checkpoint) ([]byte, error) {
+	if c == nil {
+		return nil, fmt.Errorf("problemio: nil checkpoint")
+	}
+	if c.Method != "bp" && c.Method != "mr" {
+		return nil, fmt.Errorf("problemio: checkpoint method %q is not bp or mr", c.Method)
+	}
+	head := fmt.Appendf(nil, checkpointV2Magic+"method %s\niter %d\nproblem %d %d %d %d %s %s\nguard %s %d\n",
+		c.Method, c.Iter, c.NA, c.NB, c.EL, c.NNZ, fmtFloat(c.Alpha), fmtFloat(c.Beta), fmtFloat(c.Tighten), c.Failures)
+	if c.Method == "bp" {
+		head = fmt.Appendf(head, "bp %s\n", fmtFloat(c.GammaK))
+	} else {
+		head = fmt.Appendf(head, "mr %s %s %d %d\n", fmtFloat(c.Gamma), fmtFloat(c.BestUpper), b2i(c.HaveUpper), c.SinceImproved)
+	}
+	head = fmt.Appendf(head, "tracker %d %d %d %s\n", b2i(c.HasBest), c.BestIter, c.Evaluations, fmtFloat(c.BestObjective))
+	sections := checkpointSections(c)
+	var mates string
+	size := len(head) + len("end\n") + crc32.Size
+	for _, s := range sections {
+		size += len(s.head) + 8*len(s.x)
+	}
+	if c.HasBest {
+		mates = fmt.Sprintf("mates %d\n", len(c.BestMateA))
+		size += len(mates) + 8*len(c.BestMateA)
+	}
+
+	buf := make([]byte, 0, size)
+	buf = append(buf, head...)
+	for _, s := range sections {
+		buf = append(buf, s.head...)
+		off := len(buf)
+		buf = buf[:off+8*len(s.x)]
+		for i, x := range s.x {
+			binary.LittleEndian.PutUint64(buf[off+8*i:], math.Float64bits(x))
+		}
+	}
+	if c.HasBest {
+		buf = append(buf, mates...)
+		off := len(buf)
+		buf = buf[:off+8*len(c.BestMateA)]
+		for i, m := range c.BestMateA {
+			binary.LittleEndian.PutUint64(buf[off+8*i:], uint64(int64(m)))
+		}
+	}
+	buf = append(buf, "end\n"...)
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli)), nil
+}
+
+// ReadCheckpoint parses a checkpoint of either version.
 func ReadCheckpoint(r io.Reader) (*core.Checkpoint, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("problemio: checkpoint: %w", err)
+	}
+	return decodeCheckpoint(data)
+}
+
+// decodeCheckpoint dispatches on the version line.
+func decodeCheckpoint(data []byte) (*core.Checkpoint, error) {
+	if bytes.HasPrefix(data, []byte(checkpointV2Magic)) {
+		return decodeCheckpointV2(data)
+	}
+	return readCheckpointV1(bytes.NewReader(data))
+}
+
+// v2Decoder walks a version-2 body whose checksum has been verified.
+// The first error sticks: every later call returns zero values, so a
+// parse reads straight through and checks err once at the end.
+type v2Decoder struct {
+	b   []byte
+	off int
+	err error
+}
+
+func (d *v2Decoder) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf("problemio: checkpoint: "+format, args...)
+	}
+}
+
+// fields consumes the next header line, which must be key followed by
+// exactly n single-space separated fields, and returns the n fields.
+func (d *v2Decoder) fields(key string, n int) []string {
+	if d.err == nil {
+		i := bytes.IndexByte(d.b[d.off:], '\n')
+		if i < 0 {
+			d.fail("byte %d: truncated before the %q line", d.off, key)
+		} else if f := strings.Split(string(d.b[d.off:d.off+i]), " "); f[0] != key || len(f) != n+1 {
+			d.fail("byte %d: expected a %q line with %d fields, got %q", d.off, key, n, d.b[d.off:d.off+i])
+		} else {
+			d.off += i + 1
+			return f[1:]
+		}
+	}
+	return make([]string, n)
+}
+
+// int parses a decimal int spelled as strconv.Itoa spells it.
+func (d *v2Decoder) int(what, tok string) int {
+	v, err := strconv.Atoi(tok)
+	if err != nil || strconv.Itoa(v) != tok {
+		d.fail("bad %s %q", what, tok)
+		return 0
+	}
+	return v
+}
+
+// size parses a non-negative int.
+func (d *v2Decoder) size(what, tok string) int {
+	v := d.int(what, tok)
+	if v < 0 {
+		d.fail("negative %s %d", what, v)
+		return 0
+	}
+	return v
+}
+
+// flag parses a 0|1 flag.
+func (d *v2Decoder) flag(what, tok string) bool {
+	if tok != "0" && tok != "1" {
+		d.fail("bad %s %q", what, tok)
+	}
+	return tok == "1"
+}
+
+// float parses a finite float spelled in the writer's hexadecimal
+// notation.
+func (d *v2Decoder) float(what, tok string) float64 {
+	v, err := strconv.ParseFloat(tok, 64)
+	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) || fmtFloat(v) != tok {
+		d.fail("bad %s %q", what, tok)
+		return 0
+	}
+	return v
+}
+
+// raw consumes the 8·want bytes after a section line that declared n
+// values. The length is checked against want and against the bytes
+// actually present before the caller allocates anything.
+func (d *v2Decoder) raw(what string, n, want int) []byte {
+	switch {
+	case d.err != nil:
+		return nil
+	case n != want:
+		d.fail("%s length %d, want %d", what, n, want)
+		return nil
+	case want > (len(d.b)-d.off)/8:
+		d.fail("%s: %d values declared, %d bytes left", what, want, len(d.b)-d.off)
+		return nil
+	}
+	raw := d.b[d.off : d.off+8*want]
+	d.off += 8 * want
+	return raw
+}
+
+// vec consumes a "vec <name> <len>" section of want finite values.
+func (d *v2Decoder) vec(name string, want int) []float64 {
+	f := d.fields("vec", 2)
+	if d.err == nil && f[0] != name {
+		d.fail("expected vec %s, got vec %s", name, f[0])
+	}
+	raw := d.raw("vec "+name, d.size("vec "+name+" length", f[1]), want)
+	if raw == nil {
+		return nil
+	}
+	v := make([]float64, want)
+	for i := range v {
+		x := math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			d.fail("vec %s[%d] is not finite", name, i)
+			return nil
+		}
+		v[i] = x
+	}
+	return v
+}
+
+// mates consumes the "mates <len>" section: na matches in [-1, nb).
+func (d *v2Decoder) mates(na, nb int) []int {
+	raw := d.raw("mates", d.size("mates length", d.fields("mates", 1)[0]), na)
+	if raw == nil {
+		return nil
+	}
+	mates := make([]int, na)
+	for i := range mates {
+		m := int64(binary.LittleEndian.Uint64(raw[8*i:]))
+		if m < -1 || m >= int64(nb) {
+			d.fail("mate %d out of range [-1,%d)", m, nb)
+			return nil
+		}
+		mates[i] = int(m)
+	}
+	return mates
+}
+
+// decodeCheckpointV2 parses a whole version-2 file.
+func decodeCheckpointV2(data []byte) (*core.Checkpoint, error) {
+	if len(data) < len(checkpointV2Magic)+crc32.Size {
+		return nil, fmt.Errorf("problemio: checkpoint: truncated (%d bytes)", len(data))
+	}
+	body := data[:len(data)-crc32.Size]
+	if sum := binary.LittleEndian.Uint32(data[len(body):]); crc32.Checksum(body, castagnoli) != sum {
+		return nil, fmt.Errorf("problemio: checkpoint: checksum mismatch (corrupt or truncated file)")
+	}
+	d := &v2Decoder{b: body, off: len(checkpointV2Magic)}
+	c := &core.Checkpoint{Method: d.fields("method", 1)[0]}
+	if d.err == nil && c.Method != "bp" && c.Method != "mr" {
+		d.fail("unknown method %q", c.Method)
+	}
+	c.Iter = d.size("iteration", d.fields("iter", 1)[0])
+	f := d.fields("problem", 6)
+	c.NA, c.NB, c.EL, c.NNZ = d.size("na", f[0]), d.size("nb", f[1]), d.size("el", f[2]), d.size("nnz", f[3])
+	c.Alpha, c.Beta = d.float("alpha", f[4]), d.float("beta", f[5])
+	f = d.fields("guard", 2)
+	c.Tighten, c.Failures = d.float("tighten", f[0]), d.int("failures", f[1])
+	if c.Method == "bp" {
+		c.GammaK = d.float("gammak", d.fields("bp", 1)[0])
+	} else {
+		f = d.fields("mr", 4)
+		c.Gamma, c.BestUpper = d.float("gamma", f[0]), d.float("bestupper", f[1])
+		c.HaveUpper, c.SinceImproved = d.flag("haveupper", f[2]), d.int("sinceimproved", f[3])
+	}
+	f = d.fields("tracker", 4)
+	c.HasBest, c.BestIter = d.flag("hasbest", f[0]), d.int("bestiter", f[1])
+	c.Evaluations, c.BestObjective = d.int("evaluations", f[2]), d.float("bestobjective", f[3])
+	if c.Method == "bp" {
+		c.Y, c.Z, c.SK = d.vec("y", c.EL), d.vec("z", c.EL), d.vec("sk", c.NNZ)
+	} else {
+		c.U = d.vec("u", c.NNZ)
+	}
+	if c.HasBest {
+		c.BestHeuristic = d.vec("bestheur", c.EL)
+		c.BestMateA = d.mates(c.NA, c.NB)
+	}
+	d.fields("end", 0)
+	if d.err == nil && d.off != len(d.b) {
+		d.fail("%d unexpected bytes after end", len(d.b)-d.off)
+	}
+	if d.err != nil {
+		return nil, d.err
+	}
+	return c, nil
+}
+
+// readCheckpointV1 parses a version-1 text checkpoint.
+func readCheckpointV1(r io.Reader) (*core.Checkpoint, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	lineNum := 0
@@ -210,7 +457,7 @@ func ReadCheckpoint(r io.Reader) (*core.Checkpoint, error) {
 	if err := expect("netalign-checkpoint"); err != nil {
 		return nil, err
 	}
-	if err := expect(checkpointVersion); err != nil {
+	if err := expect("1"); err != nil {
 		return nil, err
 	}
 	c := &core.Checkpoint{}
@@ -388,8 +635,8 @@ func SyncDir(dir string) error {
 // the write; a failure at any step leaves the previously renamed
 // checkpoint untouched and valid.
 func WriteCheckpointFile(path string, c *core.Checkpoint) error {
-	var buf bytes.Buffer
-	if err := WriteCheckpoint(&buf, c); err != nil {
+	buf, err := encodeCheckpoint(c)
+	if err != nil {
 		return err
 	}
 	dir, base := ".", path
@@ -401,7 +648,7 @@ func WriteCheckpointFile(path string, c *core.Checkpoint) error {
 		return fmt.Errorf("problemio: checkpoint: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-	if _, err := faults.WriteOp("checkpoint:write", tmp, buf.Bytes()); err != nil {
+	if _, err := faults.WriteOp("checkpoint:write", tmp, buf); err != nil {
 		tmp.Close()
 		return fmt.Errorf("problemio: checkpoint write: %w", err)
 	}
@@ -426,10 +673,9 @@ func WriteCheckpointFile(path string, c *core.Checkpoint) error {
 
 // ReadCheckpointFile reads a checkpoint from a file.
 func ReadCheckpointFile(path string) (*core.Checkpoint, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("problemio: checkpoint: %w", err)
 	}
-	defer f.Close()
-	return ReadCheckpoint(f)
+	return decodeCheckpoint(data)
 }

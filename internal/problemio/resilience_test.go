@@ -2,8 +2,13 @@ package problemio
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"io"
 	"math"
 	"path/filepath"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -179,16 +184,33 @@ func mrCheckpoint() *core.Checkpoint {
 }
 
 func TestCheckpointRoundTrip(t *testing.T) {
-	for _, c := range []*core.Checkpoint{bpCheckpoint(), mrCheckpoint()} {
-		var buf bytes.Buffer
-		if err := WriteCheckpoint(&buf, c); err != nil {
-			t.Fatal(err)
+	writers := map[string]func(io.Writer, *core.Checkpoint) error{
+		"v1": writeCheckpointV1, "v2": WriteCheckpoint,
+	}
+	for version, write := range writers {
+		for _, c := range []*core.Checkpoint{bpCheckpoint(), mrCheckpoint()} {
+			var buf bytes.Buffer
+			if err := write(&buf, c); err != nil {
+				t.Fatal(err)
+			}
+			got, err := ReadCheckpoint(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatalf("%s %s: %v\n%q", version, c.Method, err, buf.Bytes())
+			}
+			compareCheckpoints(t, c, got)
 		}
-		got, err := ReadCheckpoint(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("%s: %v\n%s", c.Method, err, buf.String())
+	}
+}
+
+// TestCheckpointV2ExactBuffer: the encoder sizes its one buffer exactly.
+func TestCheckpointV2ExactBuffer(t *testing.T) {
+	noBest := mrCheckpoint()
+	noBest.HasBest = false
+	for _, c := range []*core.Checkpoint{bpCheckpoint(), mrCheckpoint(), noBest} {
+		b := mustEncode(t, c)
+		if len(b) != cap(b) {
+			t.Fatalf("%s: encoded %d bytes into a %d-byte buffer", c.Method, len(b), cap(b))
 		}
-		compareCheckpoints(t, c, got)
 	}
 }
 
@@ -267,7 +289,7 @@ func TestCheckpointFileAtomic(t *testing.T) {
 
 func TestFaultMalformedCheckpoint(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteCheckpoint(&buf, bpCheckpoint()); err != nil {
+	if err := writeCheckpointV1(&buf, bpCheckpoint()); err != nil {
 		t.Fatal(err)
 	}
 	valid := buf.String()
@@ -284,6 +306,9 @@ func TestFaultMalformedCheckpoint(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			if tc.in == valid {
+				t.Fatalf("edit %q left the checkpoint unchanged", tc.name)
+			}
 			if _, err := ReadCheckpoint(strings.NewReader(tc.in)); err == nil {
 				t.Fatalf("corrupt checkpoint accepted (%s)", tc.name)
 			}
@@ -298,17 +323,163 @@ func TestFaultMalformedCheckpoint(t *testing.T) {
 	}
 }
 
+// reseal replaces a version-2 body's trailer with a valid checksum, so
+// a test edit reaches the structural checks behind it.
+func reseal(body []byte) []byte {
+	out := append([]byte(nil), body...)
+	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(body, castagnoli))
+}
+
+// resealEdit applies old→new to a version-2 encoding's body and
+// reseals it; the edit must apply.
+func resealEdit(t *testing.T, enc []byte, old, new string) []byte {
+	t.Helper()
+	body := enc[:len(enc)-crc32.Size]
+	if !bytes.Contains(body, []byte(old)) {
+		t.Fatalf("%q not in the encoding", old)
+	}
+	return reseal(bytes.Replace(body, []byte(old), []byte(new), 1))
+}
+
+// v2Boundaries returns every offset at which a version-2 encoding's
+// lines and raw sections start, plus the end of "end" and of the file.
+func v2Boundaries(t *testing.T, b []byte) []int {
+	t.Helper()
+	var offs []int
+	for off := 0; ; {
+		offs = append(offs, off)
+		eol := bytes.IndexByte(b[off:], '\n')
+		if eol < 0 {
+			t.Fatalf("no line at byte %d", off)
+		}
+		f := strings.Fields(string(b[off : off+eol]))
+		off += eol + 1
+		switch f[0] {
+		case "vec", "mates":
+			n, err := strconv.Atoi(f[len(f)-1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			offs = append(offs, off)
+			off += 8 * n
+		case "end":
+			return append(offs, off, len(b))
+		}
+	}
+}
+
+func TestFaultMalformedCheckpointV2(t *testing.T) {
+	valid := mustEncode(t, bpCheckpoint())
+	edited := func(edit func(c *core.Checkpoint)) []byte {
+		c := bpCheckpoint()
+		edit(c)
+		return mustEncode(t, c)
+	}
+	flipped := append([]byte(nil), valid...)
+	flipped[bytes.Index(valid, []byte("vec sk 2\n"))+len("vec sk 2\n")+3] ^= 0x10
+	cases := []struct {
+		name string
+		in   []byte
+	}{
+		{"flipped value bit", flipped},
+		{"bad checksum", append(valid[:len(valid)-1:len(valid)-1], valid[len(valid)-1]^1)},
+		{"sk longer than nnz", edited(func(c *core.Checkpoint) { c.SK = append(c.SK, 1) })},
+		{"y shorter than el", edited(func(c *core.Checkpoint) { c.Y = c.Y[:4] })},
+		{"mates longer than na", edited(func(c *core.Checkpoint) { c.BestMateA = append(c.BestMateA, 0) })},
+		{"nan value", edited(func(c *core.Checkpoint) { c.SK[1] = math.NaN() })},
+		{"inf value", edited(func(c *core.Checkpoint) { c.BestHeuristic[0] = math.Inf(-1) })},
+		{"nan scalar", edited(func(c *core.Checkpoint) { c.GammaK = math.NaN() })},
+		{"mate out of range", edited(func(c *core.Checkpoint) { c.BestMateA[0] = 4 })},
+		{"mate below -1", edited(func(c *core.Checkpoint) { c.BestMateA[0] = -2 })},
+		{"negative iter", edited(func(c *core.Checkpoint) { c.Iter = -1 })},
+		{"bad method", resealEdit(t, valid, "method bp", "method lp")},
+		{"bad version", resealEdit(t, valid, "netalign-checkpoint 2\n", "netalign-checkpoint 3\n")},
+		{"unknown vec", resealEdit(t, valid, "vec z 5", "vec w 5")},
+		{"non-canonical int", resealEdit(t, valid, "iter 17", "iter 017")},
+		{"non-canonical float", resealEdit(t, valid, "guard 0x1p-01", "guard 0.5")},
+		{"double space", resealEdit(t, valid, "method bp", "method  bp")},
+		{"flag not 0|1", resealEdit(t, valid, "tracker 1 ", "tracker 2 ")},
+		{"comment line", resealEdit(t, valid, "\nmethod", "\n# note\nmethod")},
+		{"trailing bytes", reseal(append(append([]byte(nil), valid[:len(valid)-crc32.Size]...), 'x'))},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := ReadCheckpoint(bytes.NewReader(tc.in)); err == nil {
+				t.Fatalf("corrupt checkpoint accepted (%s)", tc.name)
+			}
+		})
+	}
+	t.Run("checksum before values", func(t *testing.T) {
+		_, err := ReadCheckpoint(bytes.NewReader(flipped))
+		if err == nil || !strings.Contains(err.Error(), "checksum") {
+			t.Fatalf("flipped value bit: err = %v, want a checksum error", err)
+		}
+	})
+	// Cut at every section boundary: the bare cut fails the checksum,
+	// and the same cut resealed fails the structure behind it.
+	t.Run("truncated at every boundary", func(t *testing.T) {
+		for _, c := range []*core.Checkpoint{bpCheckpoint(), mrCheckpoint()} {
+			enc := mustEncode(t, c)
+			for _, k := range v2Boundaries(t, enc) {
+				if k < len(enc) {
+					if _, err := ReadCheckpoint(bytes.NewReader(enc[:k])); err == nil {
+						t.Fatalf("%s cut at byte %d of %d accepted", c.Method, k, len(enc))
+					}
+				}
+				if k < len(enc)-crc32.Size {
+					if _, err := ReadCheckpoint(bytes.NewReader(reseal(enc[:k]))); err == nil {
+						t.Fatalf("%s cut at byte %d of %d and resealed accepted", c.Method, k, len(enc))
+					}
+				}
+			}
+		}
+	})
+	// A fingerprint and vec line declaring 2^24 values (128 MiB) over a
+	// body of two must be refused before anything that size is
+	// allocated.
+	t.Run("huge length tiny body", func(t *testing.T) {
+		const huge = "16777216"
+		in := resealEdit(t, valid, "problem 3 4 5 2 ", "problem 3 4 5 "+huge+" ")
+		in = resealEdit(t, in, "vec sk 2\n", "vec sk "+huge+"\n")
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadCheckpoint(bytes.NewReader(in))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatal("huge declared length accepted")
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d > 1<<20 {
+			t.Fatalf("rejecting a %d-byte input allocated %d bytes", len(in), d)
+		}
+	})
+}
+
 func FuzzReadCheckpoint(f *testing.F) {
 	var bp, mr bytes.Buffer
-	_ = WriteCheckpoint(&bp, bpCheckpoint())
-	_ = WriteCheckpoint(&mr, mrCheckpoint())
+	_ = writeCheckpointV1(&bp, bpCheckpoint())
+	_ = writeCheckpointV1(&mr, mrCheckpoint())
 	f.Add(bp.String())
 	f.Add(mr.String())
 	f.Add("netalign-checkpoint 1\nmethod bp\n")
 	f.Add("")
+	for _, c := range []*core.Checkpoint{bpCheckpoint(), mrCheckpoint()} {
+		enc := mustEncode(f, c)
+		f.Add(string(enc))
+		f.Add(string(enc[:len(enc)-crc32.Size]))
+	}
+	f.Add(checkpointV2Magic + "method bp\n")
 	f.Fuzz(func(t *testing.T, in string) {
-		c, err := ReadCheckpoint(strings.NewReader(in))
-		if err == nil && c != nil {
+		// A version-2 input is also tried resealed with a valid
+		// checksum, so the fuzzer reaches the structure behind it.
+		inputs := []string{in}
+		if strings.HasPrefix(in, checkpointV2Magic) {
+			inputs = append(inputs, string(reseal([]byte(in))))
+		}
+		for _, in := range inputs {
+			c, err := ReadCheckpoint(strings.NewReader(in))
+			if err != nil {
+				continue
+			}
 			// Anything accepted must satisfy its own structural checks.
 			if c.Method != "bp" && c.Method != "mr" {
 				t.Fatalf("accepted method %q", c.Method)
@@ -316,6 +487,18 @@ func FuzzReadCheckpoint(f *testing.F) {
 			if len(c.Y) != c.EL && c.Method == "bp" {
 				t.Fatalf("accepted bp vec length %d != el %d", len(c.Y), c.EL)
 			}
+			// Accepted version-2 bytes are canonical: they re-encode to
+			// themselves. Any accepted input converts to version 2 and
+			// back without loss.
+			enc := mustEncode(t, c)
+			if strings.HasPrefix(in, checkpointV2Magic) && string(enc) != in {
+				t.Fatalf("accepted version-2 input re-encodes differently:\n in %q\nout %q", in, enc)
+			}
+			back, err := ReadCheckpoint(bytes.NewReader(enc))
+			if err != nil {
+				t.Fatalf("re-encoded checkpoint rejected: %v", err)
+			}
+			compareCheckpoints(t, c, back)
 		}
 	})
 }

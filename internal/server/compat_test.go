@@ -8,6 +8,9 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"netalignmc/internal/core"
+	"netalignmc/internal/problemio"
 )
 
 // legacySpec is the bare spec plus the three v1 fields that once chose
@@ -102,5 +105,136 @@ func TestLegacyJobRecordRecovers(t *testing.T) {
 	}
 	if got := rawResult(t, mgr, id); !bytes.Equal(got, want) {
 		t.Fatal("recovered legacy job's result differs from the bare spec's")
+	}
+}
+
+// The version-1 BP checkpoint committed for the problemio tests was
+// written at iteration 10 of smallSpec's 20-iteration solve of the
+// legacy spool's problem.
+var (
+	v1ProblemPath    = filepath.Join("testdata", "legacy-layout-spool", "03a2a51617e9680f", "problem.txt")
+	v1CheckpointPath = filepath.Join("..", "problemio", "testdata", "v1", "bp-iter10.ckpt")
+)
+
+func readTestdata(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// checkResumedAt10 checks that the node ran only iterations 11..20 of
+// its one job, so the result came from the checkpoint and not from a
+// rerun that discarded it.
+func checkResumedAt10(t *testing.T, mgr *Manager) {
+	t.Helper()
+	if n := mgr.timer.Count(core.BPStepOthermax); n != 10 {
+		t.Fatalf("node ran %d BP iterations, want the 10 after the checkpoint", n)
+	}
+}
+
+// TestV1CheckpointSpoolResumes restarts on a spool holding a queued
+// job.json, its problem.txt and a version-1 checkpoint.ckpt, as an
+// older node left it, and checks that the job resumes from iteration 10
+// to the same result bytes as a fresh run.
+func TestV1CheckpointSpoolResumes(t *testing.T) {
+	const id = "7c41d2e8a90b3f56"
+	spool := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(spool, id), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for name, src := range map[string]string{
+		"job.json":        filepath.Join("testdata", "v1-checkpoint-spool", id, "job.json"),
+		"problem.txt":     v1ProblemPath,
+		"checkpoint.ckpt": v1CheckpointPath,
+	} {
+		if err := os.WriteFile(filepath.Join(spool, id, name), readTestdata(t, src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := baselineResult(t, smallSpec())
+	mgr, ts := newTestServer(t, Config{Spool: spool, Workers: 1})
+	waitState(t, ts, id, StateDone, 30*time.Second)
+	checkResumedAt10(t, mgr)
+	if got := rawResult(t, mgr, id); !bytes.Equal(got, want) {
+		t.Fatal("job resumed from a version-1 checkpoint differs from a fresh run")
+	}
+}
+
+// TestV1CheckpointHandoffResumes posts a handoff from an older node,
+// carrying a version-1 checkpoint, and checks that the job resumes from
+// iteration 10 to the same result bytes as a fresh run.
+func TestV1CheckpointHandoffResumes(t *testing.T) {
+	const id = "2e9b47c1d05a6f38"
+	want := baselineResult(t, smallSpec())
+	mgr, ts := newTestServer(t, Config{Workers: 1})
+	body, err := json.Marshal(&HandoffJob{
+		ID: id, Spec: smallSpec(), Created: time.Now(),
+		Problem:    readTestdata(t, v1ProblemPath),
+		Checkpoint: readTestdata(t, v1CheckpointPath),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/handoff", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("handoff: status %d, want 202", resp.StatusCode)
+	}
+	waitState(t, ts, id, StateDone, 30*time.Second)
+	checkResumedAt10(t, mgr)
+	if got := rawResult(t, mgr, id); !bytes.Equal(got, want) {
+		t.Fatal("handed-off job resumed from a version-1 checkpoint differs from a fresh run")
+	}
+}
+
+// TestMismatchedCheckpointReruns: a spool checkpoint that parses but
+// belongs to another method or problem is treated like an unreadable
+// one. The job reruns from scratch to the fresh result, charging no
+// attempt, instead of failing every retry until it is quarantined.
+func TestMismatchedCheckpointReruns(t *testing.T) {
+	const id = "7c41d2e8a90b3f56"
+	other := &core.Checkpoint{
+		Method: "bp", Alpha: 1, Beta: 2, NA: 3, NB: 4, EL: 5, NNZ: 2,
+		Y: make([]float64, 5), Z: make([]float64, 5), SK: make([]float64, 2),
+		Tighten: 1,
+	}
+	var otherProblem bytes.Buffer
+	if err := problemio.WriteCheckpoint(&otherProblem, other); err != nil {
+		t.Fatal(err)
+	}
+	want := baselineResult(t, smallSpec())
+	for name, ckpt := range map[string][]byte{
+		"mr checkpoint":   readTestdata(t, filepath.Join("..", "problemio", "testdata", "v1", "mr-iter10.ckpt")),
+		"another problem": otherProblem.Bytes(),
+	} {
+		t.Run(name, func(t *testing.T) {
+			spool := t.TempDir()
+			if err := os.MkdirAll(filepath.Join(spool, id), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			for name, data := range map[string][]byte{
+				"job.json":        readTestdata(t, filepath.Join("testdata", "v1-checkpoint-spool", id, "job.json")),
+				"problem.txt":     readTestdata(t, v1ProblemPath),
+				"checkpoint.ckpt": ckpt,
+			} {
+				if err := os.WriteFile(filepath.Join(spool, id, name), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mgr, ts := newTestServer(t, Config{Spool: spool, Workers: 1})
+			st := waitState(t, ts, id, StateDone, 30*time.Second)
+			if st.Attempts != 0 {
+				t.Errorf("attempts = %d, want 0", st.Attempts)
+			}
+			if got := rawResult(t, mgr, id); !bytes.Equal(got, want) {
+				t.Fatal("rerun after a mismatched checkpoint differs from a fresh run")
+			}
+		})
 	}
 }

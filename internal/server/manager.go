@@ -1495,9 +1495,15 @@ func (m *Manager) run(j *Job) {
 		return
 	}
 	resume, err := m.store.LoadCheckpoint(j.ID)
+	if err == nil && resume != nil {
+		err = resume.Validate(p, spec.methodName())
+	}
 	if err != nil {
-		// A corrupt checkpoint is not fatal: rerun from scratch (the
-		// full rerun is still identical to an uninterrupted run).
+		// A checkpoint that is corrupt, or well-formed but not this
+		// job's (another problem or method), is not fatal: rerun from
+		// scratch (the full rerun is still identical to an
+		// uninterrupted run). Handing it to Align would fail every
+		// attempt the same way until the job is quarantined.
 		resume = nil
 	}
 

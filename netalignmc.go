@@ -137,10 +137,11 @@ const (
 
 // Checkpoint is a serializable snapshot of a BP or MR run; produce one
 // via BPOptions/MROptions.CheckpointEvery + CheckpointFunc, serialize
-// it with WriteCheckpoint, and feed it back through the Resume option
-// to continue the run bit for bit. Problem.BPAlignCtx and
-// Problem.MRAlignCtx accept a context.Context for cancellation and
-// deadlines.
+// it with WriteCheckpoint (format version 2, exact binary values),
+// read it back with ReadCheckpoint (either version), and feed it back
+// through the Resume option to continue the run bit for bit.
+// Problem.BPAlignCtx and Problem.MRAlignCtx accept a context.Context
+// for cancellation and deadlines.
 type Checkpoint = core.Checkpoint
 
 // FaultInjector corrupts solver state at named steps; used by the
@@ -308,11 +309,14 @@ type ProblemStats = core.Stats
 // StatsOf collects Table II statistics.
 func StatsOf(name string, p *Problem) ProblemStats { return core.ProblemStats(name, p) }
 
-// WriteCheckpoint serializes a checkpoint in the exact (hexadecimal
-// float) text format; resume from it reproduces the run bit for bit.
+// WriteCheckpoint serializes a checkpoint in format version 2: text
+// header lines, raw little-endian float64 sections and a CRC-32C
+// trailer, written with one Write. The values are stored exactly, so
+// resume from it reproduces the run bit for bit.
 func WriteCheckpoint(w io.Writer, c *Checkpoint) error { return problemio.WriteCheckpoint(w, c) }
 
-// ReadCheckpoint parses a checkpoint written by WriteCheckpoint.
+// ReadCheckpoint parses a checkpoint of format version 2, or of the
+// version-1 hexadecimal text format earlier releases wrote.
 func ReadCheckpoint(r io.Reader) (*Checkpoint, error) { return problemio.ReadCheckpoint(r) }
 
 // WriteCheckpointFile writes a checkpoint atomically (temp file +
