@@ -112,12 +112,16 @@ func TestVerify(t *testing.T) {
 		t.Fatal("matching verify output missing")
 	}
 
-	// Corrupt the problem: verification must fail.
-	p.S.Val[0] = 3
+	// Corrupt the problem by moving one stored column of S:
+	// verification must fail.
+	if p.NNZS() == 0 {
+		t.Fatal("problem has an empty S")
+	}
+	p.S.Col[0]++
 	if err := Verify(p, nil, VerifyOptions{}, &buf); err == nil {
 		t.Fatal("corrupted problem verified")
 	}
-	p.S.Val[0] = 1
+	p.S.Col[0]--
 
 	// Invalid matching: mates not mutual.
 	bad := *res.Matching

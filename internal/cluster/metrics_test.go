@@ -128,6 +128,7 @@ counter netalignd_jobs_deadline_expired_total Jobs failed because their queue de
 counter netalignd_handoff_sent_total Queued jobs exported to a ring successor during drain.
 counter netalignd_handoff_received_total Drained jobs admitted from a peer's handoff.
 counter netalignd_handoff_failed_total Drain exports no peer accepted (job stayed queued in the spool).
+counter netalignd_checkpoints_discarded_total Checkpoints found unreadable or not the job's, discarded for a rerun from scratch.
 gauge netalignd_jobs_quarantined Jobs currently quarantined.
 gauge netalignd_disk_free_bytes Free bytes on the spool volume at the last pressure sample.
 gauge netalignd_rss_bytes Process resident set size at the last pressure sample.

@@ -100,7 +100,7 @@ func (p *Problem) BaselineAlign(o BaselineOptions) *AlignResult {
 		}
 		for it := 0; it < o.Iterations; it++ {
 			parallel.ForDynamic(mEL, threads, parallel.DefaultChunk, func(lo, hi int) {
-				p.S.MulVecRange(next, x, lo, hi)
+				p.S.mulVec(next, x, lo, hi)
 				if invDeg != nil {
 					for e := lo; e < hi; e++ {
 						next[e] *= invDeg[e]

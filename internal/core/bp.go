@@ -6,7 +6,6 @@ import (
 
 	"netalignmc/internal/matching"
 	"netalignmc/internal/parallel"
-	"netalignmc/internal/sparse"
 	"netalignmc/internal/stats"
 )
 
@@ -255,9 +254,7 @@ func (p *Problem) bpAlign(ctx context.Context, o BPOptions) (*AlignResult, error
 	copy(goodSK, skPrev)
 	goodGammaK := gammaK
 
-	sVal := p.S.Val
 	perm := p.SPerm
-	sRow := p.SRow
 	beta := p.Beta
 	w := p.L.W
 	ptr := p.S.Ptr
@@ -273,12 +270,12 @@ func (p *Problem) bpAlign(ctx context.Context, o BPOptions) (*AlignResult, error
 	// heap-allocate on the hot path. They capture the slice-header
 	// variables, so the post-damping buffer swaps are visible to them.
 
-	// Step 1: F = bound_{0,β}(β·S + S^(k−1)ᵀ). The transpose is
-	// realized by pulling through the permutation with no intermediate
-	// write.
+	// Step 1: F = bound_{0,β}(β·S + S^(k−1)ᵀ). S's stored values are
+	// ones, so β·S is β on every entry. The transpose is realized by
+	// pulling through the permutation with no intermediate write.
 	boundF := func(lo, hi int) {
 		for k := lo; k < hi; k++ {
-			f[k] = sparse.Bound(beta*sVal[k]+skPrev[perm[k]], 0, beta)
+			f[k] = clamp(beta+skPrev[perm[k]], 0, beta)
 		}
 	}
 	// Step 2: d = αw + F·e (row sums of F over S's pattern).
@@ -298,11 +295,14 @@ func (p *Problem) bpAlign(ctx context.Context, o BPOptions) (*AlignResult, error
 			z[e] = d[e] - om[e]
 		}
 	}
-	// Step 4: S^(k) = diag(y + z − d)·S − F (row rescale minus F).
+	// Step 4: S^(k) = diag(y + z − d)·S − F (row rescale minus F),
+	// over the rows of S: every entry of row r is y[r]+z[r]−d[r] − F.
 	updateS := func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			r := sRow[k]
-			sk[k] = (y[r]+z[r]-d[r])*sVal[k] - f[k]
+		for r := lo; r < hi; r++ {
+			c := y[r] + z[r] - d[r]
+			for k := ptr[r]; k < ptr[r+1]; k++ {
+				sk[k] = c - f[k]
+			}
 		}
 	}
 	// Step 5: damping against the previous iterates. The guard's
@@ -334,7 +334,7 @@ func (p *Problem) bpAlign(ctx context.Context, o BPOptions) (*AlignResult, error
 		othermaxScan()
 		e.forEdges(mEL, othermaxEdges)
 	}
-	step4 := func() { e.forNNZ(ctx, nnz, updateS) }
+	step4 := func() { e.forSRows(ctx, mEL, updateS) }
 	step5 := func() {
 		e.forEdges(mEL, dampEdges)
 		e.forNNZ(ctx, nnz, dampS)

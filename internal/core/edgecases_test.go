@@ -128,7 +128,10 @@ func TestObserverSeesEveryIteration(t *testing.T) {
 
 func TestVerifySampledDetectsDenseCorruption(t *testing.T) {
 	// Random sampling must catch a corruption that affects many
-	// entries (here: all values flipped to 2).
+	// entries: here every column moves within its row while the
+	// pattern stays symmetric and SPerm stays its transpose, so only
+	// the overlap definition can tell. S pairs e0-e1 and e2-e3 instead
+	// of e0-e3 and e1-e2.
 	p := func() *core.Problem {
 		a := graph.FromEdges(2, []graph.Edge{{U: 0, V: 1}})
 		b := graph.FromEdges(2, []graph.Edge{{U: 0, V: 1}})
@@ -141,9 +144,8 @@ func TestVerifySampledDetectsDenseCorruption(t *testing.T) {
 		}
 		return pp
 	}()
-	for k := range p.S.Val {
-		p.S.Val[k] = 2
-	}
+	copy(p.S.Col, []int32{1, 0, 3, 2})
+	copy(p.SPerm, []int32{1, 0, 3, 2})
 	if err := p.Verify(100, nil); err == nil {
 		t.Fatal("dense corruption not detected by sampling")
 	}

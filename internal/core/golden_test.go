@@ -116,10 +116,10 @@ func TestGoldenSMatrixPairs(t *testing.T) {
 	// The transpose permutation on the 4 symmetric entries must be an
 	// involution with no fixed points (no diagonal entries).
 	for k, pk := range perm {
-		if perm[pk] != k {
+		if int(perm[pk]) != k {
 			t.Fatalf("perm not involutive at %d", k)
 		}
-		if pk == k {
+		if int(pk) == k {
 			t.Fatalf("fixed point %d implies a diagonal entry", k)
 		}
 	}

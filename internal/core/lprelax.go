@@ -82,13 +82,14 @@ func (p *Problem) LPRelaxation(maxVars int, threads int) (*LPRelaxationResult, e
 		prob.Constraints = append(prob.Constraints, c)
 	}
 	// Linking constraints: Y_kl − x_k ≤ 0 and Y_kl − x_l ≤ 0.
-	for k := 0; k < nnz; k++ {
-		rowEdge := p.SRow[k]
-		colEdge := p.S.Col[k]
-		prob.Constraints = append(prob.Constraints,
-			lp.Constraint{Cols: []int{mEL + k, rowEdge}, Vals: []float64{1, -1}, B: 0},
-			lp.Constraint{Cols: []int{mEL + k, colEdge}, Vals: []float64{1, -1}, B: 0},
-		)
+	for rowEdge := 0; rowEdge < mEL; rowEdge++ {
+		for k := p.S.Ptr[rowEdge]; k < p.S.Ptr[rowEdge+1]; k++ {
+			colEdge := int(p.S.Col[k])
+			prob.Constraints = append(prob.Constraints,
+				lp.Constraint{Cols: []int{mEL + k, rowEdge}, Vals: []float64{1, -1}, B: 0},
+				lp.Constraint{Cols: []int{mEL + k, colEdge}, Vals: []float64{1, -1}, B: 0},
+			)
+		}
 	}
 	// x ≤ 1 for isolated edges not covered by a matching row with more
 	// entries is already implied by the row constraints above (every

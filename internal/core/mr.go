@@ -5,7 +5,6 @@ import (
 
 	"netalignmc/internal/matching"
 	"netalignmc/internal/parallel"
-	"netalignmc/internal/sparse"
 	"netalignmc/internal/stats"
 )
 
@@ -312,12 +311,11 @@ func (p *Problem) mrAlign(ctx context.Context, o MROptions) (*AlignResult, error
 	goodSinceImproved := sinceImproved
 
 	var upperTrace, lowerTrace []float64
-	sVal := p.S.Val
 	perm := p.SPerm
 	beta2 := p.Beta / 2
 	w := p.L.W
 	alpha := p.Alpha
-	sRow := p.SRow
+	sPtr := p.S.Ptr
 	sCol := p.S.Col
 	bound := opts.UBound
 
@@ -359,14 +357,14 @@ func (p *Problem) mrAlign(ctx context.Context, o MROptions) (*AlignResult, error
 	rowMatchKernel := func(worker, lo, hi int) {
 		rs := &rows[worker]
 		for e1 := lo; e1 < hi; e1++ {
-			klo, khi := p.S.RowRange(e1)
+			klo, khi := sPtr[e1], sPtr[e1+1]
 			if klo == khi {
 				d[e1] = 0
 				continue
 			}
 			rowW := rs.w[:khi-klo]
 			for k := klo; k < khi; k++ {
-				rowW[k-klo] = beta2*sVal[k] + u[k] - u[perm[k]]
+				rowW[k-klo] = beta2 + u[k] - u[perm[k]]
 			}
 			var value float64
 			if opts.GreedyRowMatch {
@@ -396,18 +394,19 @@ func (p *Problem) mrAlign(ctx context.Context, o MROptions) (*AlignResult, error
 	// Step 5: update U on the upper triangle:
 	// F = U − γ·X·triu(S_L) + γ·tril(S_L)ᵀ·X, clamped. The guard's
 	// tighten factor (< 1 after a numeric rollback) shrinks the
-	// subgradient step.
+	// subgradient step. It runs over the rows of S, reading x[e1] once
+	// per row. The multipliers live on the upper triangle, which is
+	// each row's tail because columns ascend within a row.
 	updateUKernel := func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			e1, e2 := sRow[k], sCol[k]
-			if e2 <= e1 {
-				continue // multipliers live on the upper triangle
+		for e1 := lo; e1 < hi; e1++ {
+			xe1 := x[e1]
+			for k := sPtr[e1+1] - 1; k >= sPtr[e1] && int(sCol[k]) > e1; k-- {
+				f := u[k] - gU*xe1*float64(sL[k]) + gU*float64(sL[perm[k]])*x[sCol[k]]
+				u[k] = clamp(f, -bound, bound)
 			}
-			f := u[k] - gU*x[e1]*float64(sL[k]) + gU*float64(sL[perm[k]])*x[e2]
-			u[k] = sparse.Bound(f, -bound, bound)
 		}
 	}
-	step1 := func() { e.forSRowsWorker(ctx, p.S.NumRows, rowMatchKernel) }
+	step1 := func() { e.forSRowsWorker(ctx, mEL, rowMatchKernel) }
 	step2 := func() { e.forEdges(mEL, daxpyKernel) }
 	// Step 3: match w̄ on L's structure with the slot's reusable
 	// matcher, then re-base the matching on L's true weights.
@@ -440,7 +439,7 @@ func (p *Problem) mrAlign(ctx context.Context, o MROptions) (*AlignResult, error
 			}
 		}
 	}
-	step5 := func() { e.forNNZ(ctx, nnz, updateUKernel) }
+	step5 := func() { e.forSRows(ctx, mEL, updateUKernel) }
 
 	iter = startIter
 	for iter <= opts.Iterations {

@@ -13,7 +13,6 @@ import (
 	"netalignmc/internal/graph"
 	"netalignmc/internal/matching"
 	"netalignmc/internal/parallel"
-	"netalignmc/internal/sparse"
 	"netalignmc/internal/stats"
 )
 
@@ -26,20 +25,19 @@ import (
 // S[(i,i'),(j,j')] = 1 exactly when (i,j) ∈ E_A and (i',j') ∈ E_B —
 // picking both L-edges into the matching overlaps one edge pair, and
 // xᵀSx double-counts, hence the β/2 in the objective. S is symmetric
-// with an empty diagonal.
+// with an empty diagonal; its values are all ones, so it is stored as
+// its pattern.
 type Problem struct {
 	A, B  *graph.Graph
 	L     *bipartite.Graph
 	Alpha float64
 	Beta  float64
-	S     *sparse.CSR
+	S     *Pattern
 
 	// SPerm is the transpose permutation of S's pattern (the paper's
-	// permute-the-values transpose trick), shared by the methods.
-	SPerm []int
-	// SRow[k] is the row of nonzero k, for loops over the nonzero
-	// index space.
-	SRow []int
+	// permute-the-values transpose trick), shared by the methods:
+	// SPerm[k] is the index of entry (c, r) when k is entry (r, c).
+	SPerm []int32
 }
 
 // CheckInputs reports whether (A, B, L, α, β) form a valid problem:
@@ -79,7 +77,9 @@ func NewProblem(a, b *graph.Graph, l *bipartite.Graph, alpha, beta float64, thre
 // of a binary search, amortizing one neighborhood scan per row). Rows
 // are built independently so the loop parallelizes over e1
 // (dynamically: the nonzero distribution of S "is highly irregular and
-// imbalanced").
+// imbalanced"). The rows are then copied into S's pattern, and one
+// counting pass builds the transpose permutation and proves S
+// symmetric.
 func (p *Problem) buildS(threads int) error {
 	m := p.L.NumEdges()
 	rows := make([][]int32, m)
@@ -121,32 +121,25 @@ func (p *Problem) buildS(threads int) error {
 			rows[e1] = cols
 		}
 	})
+	nnz := 0
+	for _, cols := range rows {
+		nnz += len(cols)
+	}
+	if nnz > math.MaxInt32 {
+		return fmt.Errorf("core: S has %d nonzeros, above the int32 index limit", nnz)
+	}
 	ptr := make([]int, m+1)
+	col := make([]int32, 0, nnz)
 	for e1, cols := range rows {
-		ptr[e1+1] = ptr[e1] + len(cols)
+		col = append(col, cols...)
+		ptr[e1+1] = len(col)
 	}
-	nnz := ptr[m]
-	col := make([]int, nnz)
-	val := make([]float64, nnz)
-	parallel.ForDynamic(m, threads, 256, func(lo, hi int) {
-		for e1 := lo; e1 < hi; e1++ {
-			base := ptr[e1]
-			for i, c := range rows[e1] {
-				col[base+i] = int(c)
-				val[base+i] = 1
-			}
-		}
-	})
-	p.S = &sparse.CSR{NumRows: m, NumCols: m, Ptr: ptr, Col: col, Val: val}
-	if err := p.S.Validate(); err != nil {
-		return fmt.Errorf("core: built S is invalid: %w", err)
-	}
-	perm, err := p.S.TransposePerm()
+	p.S = &Pattern{Ptr: ptr, Col: col}
+	perm, err := p.S.transposePerm()
 	if err != nil {
 		return fmt.Errorf("core: S is not structurally symmetric: %w", err)
 	}
 	p.SPerm = perm
-	p.SRow = p.S.RowIndex()
 	return nil
 }
 
@@ -180,10 +173,10 @@ func (p *Problem) MatchWeight(x []float64, threads int) float64 {
 // is a 0/1 matching indicator.
 func (p *Problem) Overlap(x []float64, threads int) float64 {
 	if parallel.Threads(threads) == 1 {
-		return p.S.QuadFormRange(x, x, 0, p.S.NumRows) / 2
+		return p.S.quadForm(x, 0, p.S.Rows()) / 2
 	}
-	quad := parallel.SumFloat64(p.S.NumRows, threads, func(lo, hi int) float64 {
-		return p.S.QuadFormRange(x, x, lo, hi)
+	quad := parallel.SumFloat64(p.S.Rows(), threads, func(lo, hi int) float64 {
+		return p.S.quadForm(x, lo, hi)
 	})
 	return quad / 2
 }
@@ -275,20 +268,31 @@ func ProblemStats(name string, p *Problem) Stats {
 	if st.VA > 0 {
 		st.MeanLDegree = float64(st.EL) / float64(st.VA)
 	}
-	for r := 0; r < p.S.NumRows; r++ {
+	for r := 0; r < st.EL; r++ {
 		lo, hi := p.S.RowRange(r)
 		if hi-lo > st.MaxSRow {
 			st.MaxSRow = hi - lo
 		}
 	}
-	if p.S.NumRows > 0 {
-		st.MeanSRow = float64(st.NnzS) / float64(p.S.NumRows)
+	if st.EL > 0 {
+		st.MeanSRow = float64(st.NnzS) / float64(st.EL)
 	}
 	if st.MeanSRow > 0 {
 		st.Imbalance = float64(st.MaxSRow) / st.MeanSRow
 	}
 	st.SRowGini = stats.SkewOfPtr(p.S.Ptr).Gini
 	return st
+}
+
+// clamp returns bound_{l,u}(x) from the paper's Table I.
+func clamp(x, l, u float64) float64 {
+	if x <= l {
+		return l
+	}
+	if x >= u {
+		return u
+	}
+	return x
 }
 
 // almostEqual compares floats with a relative-absolute tolerance; used

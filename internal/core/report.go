@@ -63,14 +63,13 @@ func (p *Problem) NewReport(r *matching.Result, reference *matching.Result, thre
 		rep.EdgeCorrectness = rep.Overlap / float64(minEdges)
 	}
 	// Enumerate overlapped pairs via the nonzeros of S under x.
-	for e1 := 0; e1 < p.S.NumRows; e1++ {
+	for e1 := 0; e1 < p.S.Rows(); e1++ {
 		if x[e1] == 0 {
 			continue
 		}
 		lo, hi := p.S.RowRange(e1)
-		for k := lo; k < hi; k++ {
-			e2 := p.S.Col[k]
-			if e2 > e1 && x[e2] != 0 {
+		for _, c := range p.S.Col[lo:hi] {
+			if e2 := int(c); e2 > e1 && x[e2] != 0 {
 				rep.OverlappedPairs = append(rep.OverlappedPairs, [2]int{e1, e2})
 			}
 		}

@@ -7,10 +7,11 @@ import (
 )
 
 // Verify cross-checks the problem's derived structures against their
-// definitions: L is structurally valid with finite weights, S is
-// structurally symmetric with unit values and an empty diagonal, the
-// transpose permutation is involutive, and sampleEntries randomly
-// sampled (edge, edge) pairs of S agree with the overlap definition
+// definitions: L is structurally valid with finite weights, S's
+// pattern is a valid |E_L|-by-|E_L| pattern with an empty diagonal,
+// SPerm maps every entry (r, c) to the stored entry (c, r) and back,
+// and sampleEntries randomly sampled (edge, edge) pairs of S agree
+// with the overlap definition
 // S[(i,i'),(j,j')] = 1 ⇔ (i,j) ∈ E_A ∧ (i',j') ∈ E_B (0 samples all
 // pairs of stored entries plus an equal number of random pairs, which
 // is exhaustive only for tiny problems — prefer a positive sample
@@ -25,52 +26,48 @@ func (p *Problem) Verify(sampleEntries int, rng *rand.Rand) error {
 			return fmt.Errorf("core: L weight %d is not finite", e)
 		}
 	}
-	if err := p.S.Validate(); err != nil {
+	m := p.L.NumEdges()
+	if err := p.S.validate(m); err != nil {
 		return fmt.Errorf("core: S invalid: %w", err)
 	}
-	if p.S.NumRows != p.L.NumEdges() || p.S.NumCols != p.L.NumEdges() {
-		return fmt.Errorf("core: S is %dx%d but |E_L| = %d", p.S.NumRows, p.S.NumCols, p.L.NumEdges())
+	nnz := p.S.NNZ()
+	if len(p.SPerm) != nnz {
+		return fmt.Errorf("core: transpose permutation has %d entries, S has %d", len(p.SPerm), nnz)
 	}
-	if len(p.SPerm) != p.S.NNZ() || len(p.SRow) != p.S.NNZ() {
-		return fmt.Errorf("core: permutation/row-index arrays out of sync with S")
-	}
-	for k, pk := range p.SPerm {
-		if pk < 0 || pk >= p.S.NNZ() || p.SPerm[pk] != k {
-			return fmt.Errorf("core: transpose permutation not involutive at %d", k)
+	for r := 0; r < m; r++ {
+		for k := p.S.Ptr[r]; k < p.S.Ptr[r+1]; k++ {
+			c := int(p.S.Col[k])
+			if c == r {
+				return fmt.Errorf("core: S has a diagonal entry at %d", k)
+			}
+			kt := int(p.SPerm[k])
+			if kt < p.S.Ptr[c] || kt >= p.S.Ptr[c+1] || int(p.S.Col[kt]) != r || int(p.SPerm[kt]) != k {
+				return fmt.Errorf("core: transpose permutation does not map entry (%d,%d) to (%d,%d) and back", r, c, c, r)
+			}
 		}
 	}
 	check := func(e1, e2 int) error {
 		i, iP := p.L.EdgeA[e1], p.L.EdgeB[e1]
 		j, jP := p.L.EdgeA[e2], p.L.EdgeB[e2]
-		want := 0.0
-		if p.A.HasEdge(i, j) && p.B.HasEdge(iP, jP) {
-			want = 1
-		}
-		if got := p.S.At(e1, e2); got != want {
-			return fmt.Errorf("core: S[(%d,%d),(%d,%d)] = %g, want %g", i, iP, j, jP, got, want)
+		want := p.A.HasEdge(i, j) && p.B.HasEdge(iP, jP)
+		if got := p.S.Has(e1, e2); got != want {
+			return fmt.Errorf("core: S[(%d,%d),(%d,%d)] stored = %t, want %t", i, iP, j, jP, got, want)
 		}
 		return nil
 	}
-	for k := 0; k < p.S.NNZ(); k++ {
-		if p.S.Val[k] != 1 {
-			return fmt.Errorf("core: S value %d is %g, want 1", k, p.S.Val[k])
-		}
-		if p.SRow[k] == p.S.Col[k] {
-			return fmt.Errorf("core: S has a diagonal entry at %d", k)
-		}
-	}
-	m := p.L.NumEdges()
 	if m == 0 {
 		return nil
 	}
 	if sampleEntries <= 0 {
 		// Exhaustive over stored entries plus random zero checks.
-		for k := 0; k < p.S.NNZ(); k++ {
-			if err := check(p.SRow[k], p.S.Col[k]); err != nil {
-				return err
+		for r := 0; r < m; r++ {
+			for _, c := range p.S.Col[p.S.Ptr[r]:p.S.Ptr[r+1]] {
+				if err := check(r, int(c)); err != nil {
+					return err
+				}
 			}
 		}
-		sampleEntries = p.S.NNZ() + 16
+		sampleEntries = nnz + 16
 	}
 	if rng == nil {
 		rng = rand.New(rand.NewSource(1))

@@ -18,12 +18,13 @@ func TestVerifyHealthyProblem(t *testing.T) {
 
 func TestVerifyCatchesCorruptedS(t *testing.T) {
 	p := tinyProblem(t, 1, 2)
-	// Inject a wrong value.
-	p.S.Val[0] = 2
+	// Swap two permutation entries: still a permutation, but no
+	// longer the transpose.
+	p.SPerm[0], p.SPerm[1] = p.SPerm[1], p.SPerm[0]
 	if err := p.Verify(0, nil); err == nil {
-		t.Fatal("corrupted S value accepted")
+		t.Fatal("swapped permutation entries accepted")
 	}
-	p.S.Val[0] = 1
+	p.SPerm[0], p.SPerm[1] = p.SPerm[1], p.SPerm[0]
 
 	// Inject a wrong permutation.
 	old := p.SPerm[0]
@@ -35,9 +36,10 @@ func TestVerifyCatchesCorruptedS(t *testing.T) {
 
 	// Inject a structural lie: move a column index so S disagrees
 	// with the overlap definition.
+	// Entry 0 is in row 0.
 	oldCol := p.S.Col[0]
-	for c := 0; c < p.S.NumCols; c++ {
-		if c != oldCol && c != p.SRow[0] {
+	for c := int32(0); c < int32(p.S.Rows()); c++ {
+		if c != oldCol && c != 0 {
 			// keep sortedness plausible for a 4-column matrix by
 			// rebuilding Col[0] only when it stays sorted
 			p.S.Col[0] = c

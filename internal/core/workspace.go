@@ -225,10 +225,10 @@ func (p *Problem) slotObjective(s *roundSlot, threads int) float64 {
 			return sum
 		}
 		s.qfFold = func(lo, hi int) float64 {
-			return p.S.QuadFormRange(s.x, s.x, lo, hi)
+			return p.S.quadForm(s.x, lo, hi)
 		}
 	}
 	mw := parallel.SumFloat64(len(s.x), threads, s.mwFold)
-	quad := parallel.SumFloat64(p.S.NumRows, threads, s.qfFold)
+	quad := parallel.SumFloat64(p.S.Rows(), threads, s.qfFold)
 	return p.Alpha*mw + p.Beta*(quad/2)
 }

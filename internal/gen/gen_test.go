@@ -124,14 +124,14 @@ func TestStandInSImbalance(t *testing.T) {
 		t.Fatal(err)
 	}
 	maxRow, total := 0, 0
-	for r := 0; r < p.S.NumRows; r++ {
+	for r := 0; r < p.S.Rows(); r++ {
 		lo, hi := p.S.RowRange(r)
 		if hi-lo > maxRow {
 			maxRow = hi - lo
 		}
 		total += hi - lo
 	}
-	mean := float64(total) / float64(p.S.NumRows)
+	mean := float64(total) / float64(p.S.Rows())
 	if float64(maxRow) < 3*mean {
 		t.Fatalf("S rows look balanced: max %d vs mean %.2f", maxRow, mean)
 	}

@@ -36,7 +36,7 @@ type rowEntry struct{ pos, col int32 }
 // Build derives the plan of the rows (ptr, edges) over g, where edges
 // holds indices into g's canonical edge order, reusing the plan's
 // buffers. The plan costs two int32 per edge and one per row.
-func (pl *RowPlan) Build(g *bipartite.Graph, ptr []int, edges []int) {
+func (pl *RowPlan) Build(g *bipartite.Graph, ptr []int, edges []int32) {
 	rows := len(ptr) - 1
 	pl.rowPtr = grow32(pl.rowPtr, rows+1)
 	if n := ptr[rows]; cap(pl.ent) < n {
@@ -329,7 +329,7 @@ func (m *SubsetMatcher) SolveRow(pl *RowPlan, r int, weights []float64, selected
 // benchmarks. It appends the selected positions to selected and
 // returns the new slice plus the total weight. Ties break by input
 // position for determinism.
-func (m *SubsetMatcher) GreedySubset(g *bipartite.Graph, edges []int, weights []float64, selected []int) ([]int, float64) {
+func (m *SubsetMatcher) GreedySubset(g *bipartite.Graph, edges []int32, weights []float64, selected []int) ([]int, float64) {
 	if len(edges) == 0 {
 		return selected, 0
 	}

@@ -196,7 +196,7 @@ func randomRows(rng *rand.Rand, g *bipartite.Graph, rows, maxLen int) (ptr, edge
 func checkRowsMatchReference(t *testing.T, g *bipartite.Graph, ptr, edges []int, weights []float64, sm *SubsetMatcher, ref *refSubsetMatcher) {
 	t.Helper()
 	var pl RowPlan
-	pl.Build(g, ptr, edges)
+	pl.Build(g, ptr, int32s(edges))
 	var got, want []int
 	for r := 0; r+1 < len(ptr); r++ {
 		lo, hi := ptr[r], ptr[r+1]

@@ -9,10 +9,19 @@ import (
 	"netalignmc/internal/bipartite"
 )
 
+// int32s converts an edge list to the int32 form the row plan takes.
+func int32s(edges []int) []int32 {
+	out := make([]int32, len(edges))
+	for i, e := range edges {
+		out[i] = int32(e)
+	}
+	return out
+}
+
 // solveSubset solves one subset problem through a one-row plan.
 func solveSubset(sm *SubsetMatcher, g *bipartite.Graph, edges []int, weights []float64, selected []int) ([]int, float64) {
 	var pl RowPlan
-	pl.Build(g, []int{0, len(edges)}, edges)
+	pl.Build(g, []int{0, len(edges)}, int32s(edges))
 	return sm.SolveRow(&pl, 0, weights, selected)
 }
 
@@ -99,7 +108,7 @@ func TestSubsetMatcherNoAllocAfterWarmup(t *testing.T) {
 		weights = append(weights, g.W[e])
 	}
 	var pl RowPlan
-	pl.Build(g, []int{0, len(edges)}, edges)
+	pl.Build(g, []int{0, len(edges)}, int32s(edges))
 	sel := make([]int, 0, len(edges))
 	sm.SolveRow(&pl, 0, weights, sel[:0]) // warm-up
 	allocs := testing.AllocsPerRun(50, func() {
@@ -126,7 +135,7 @@ func TestGreedySubsetHalfApprox(t *testing.T) {
 				weights = append(weights, rng.Float64()*5-0.5)
 			}
 		}
-		gSel, gVal := sm.GreedySubset(g, edges, weights, nil)
+		gSel, gVal := sm.GreedySubset(g, int32s(edges), weights, nil)
 		_, exVal := solveSubset(sm, g, edges, weights, nil)
 		// Validity: selection is a matching with the claimed value.
 		usedA := map[int]bool{}
@@ -165,7 +174,7 @@ func BenchmarkSubsetMatcher(b *testing.B) {
 		weights = append(weights, g.W[e])
 	}
 	var pl RowPlan
-	pl.Build(g, []int{0, len(edges)}, edges)
+	pl.Build(g, []int{0, len(edges)}, int32s(edges))
 	sel := make([]int, 0, len(edges))
 	b.ReportAllocs()
 	b.ResetTimer()

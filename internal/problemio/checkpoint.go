@@ -363,7 +363,7 @@ func decodeCheckpointV2(data []byte) (*core.Checkpoint, error) {
 // readCheckpointV1 parses a version-1 text checkpoint.
 func readCheckpointV1(r io.Reader) (*core.Checkpoint, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	sc.Buffer(nil, 1<<20)
 	lineNum := 0
 	// tokens yields whitespace-separated fields across lines, so
 	// vectors can be parsed value by value regardless of wrapping.

@@ -235,6 +235,9 @@ func TestMismatchedCheckpointReruns(t *testing.T) {
 			if got := rawResult(t, mgr, id); !bytes.Equal(got, want) {
 				t.Fatal("rerun after a mismatched checkpoint differs from a fresh run")
 			}
+			if n := mgr.Snapshot().CheckpointsDiscarded; n != 1 {
+				t.Errorf("checkpoints discarded = %d, want 1", n)
+			}
 		})
 	}
 }

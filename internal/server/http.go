@@ -610,6 +610,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	pw.Counter("netalignd_handoff_sent_total", "Queued jobs exported to a ring successor during drain.", m.HandoffSent)
 	pw.Counter("netalignd_handoff_received_total", "Drained jobs admitted from a peer's handoff.", m.HandoffReceived)
 	pw.Counter("netalignd_handoff_failed_total", "Drain exports no peer accepted (job stayed queued in the spool).", m.HandoffFailed)
+	pw.Counter("netalignd_checkpoints_discarded_total", "Checkpoints found unreadable or not the job's, discarded for a rerun from scratch.", m.CheckpointsDiscarded)
 	pw.Gauge("netalignd_jobs_quarantined", "Jobs currently quarantined.", float64(m.QuarantinedNow))
 	pw.Gauge("netalignd_disk_free_bytes", "Free bytes on the spool volume at the last pressure sample.", float64(m.DiskFreeBytes))
 	pw.Gauge("netalignd_rss_bytes", "Process resident set size at the last pressure sample.", float64(m.RSSBytes))

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -367,6 +368,7 @@ type Counters struct {
 	HandoffSent/* queued jobs exported to a ring successor during drain */ atomic.Int64
 	HandoffReceived/* drained jobs admitted from a peer's handoff */ atomic.Int64
 	HandoffFailed/* drain exports no peer accepted (job stays queued in the spool) */ atomic.Int64
+	CheckpointsDiscarded/* unreadable or mismatched checkpoints dropped for a rerun from scratch */ atomic.Int64
 }
 
 // Manager owns the job lifecycle: a tenant-aware scheduler (weighted
@@ -1504,6 +1506,8 @@ func (m *Manager) run(j *Job) {
 		// scratch (the full rerun is still identical to an
 		// uninterrupted run). Handing it to Align would fail every
 		// attempt the same way until the job is quarantined.
+		m.counters.CheckpointsDiscarded.Add(1)
+		log.Printf("job %s: discarding checkpoint, rerunning from scratch: %v", j.ID, err)
 		resume = nil
 	}
 
@@ -1845,6 +1849,9 @@ type Metrics struct {
 	HandoffSent     int64 `json:"handoffSent"`
 	HandoffReceived int64 `json:"handoffReceived"`
 	HandoffFailed   int64 `json:"handoffFailed"`
+	// CheckpointsDiscarded counts checkpoints a run found unreadable
+	// or not its job's, dropped so the job reruns from scratch.
+	CheckpointsDiscarded int64 `json:"checkpointsDiscarded"`
 	// Tenants is the per-tenant rollup: queue depths, running slots,
 	// lifetime admission/completion/preemption/shed counters, weights
 	// and cumulative queue-wait time.
@@ -1908,39 +1915,40 @@ func (m *Manager) Snapshot() Metrics {
 		steps[step] = d.Seconds()
 	}
 	out := Metrics{
-		UptimeSeconds:   time.Since(m.start).Seconds(),
-		QueueDepth:      depth,
-		Running:         running,
-		Submitted:       m.counters.Submitted.Load(),
-		Resumed:         m.counters.Resumed.Load(),
-		Interrupted:     m.counters.Interrupted.Load(),
-		Rejected:        m.counters.Rejected.Load(),
-		Completed:       m.counters.Completed.Load(),
-		Failed:          m.counters.Failed.Load(),
-		Cancelled:       m.counters.Cancelled.Load(),
-		Numerics:        m.counters.Numerics.Load(),
-		Coalesced:       m.counters.Coalesced.Load(),
-		Retried:         m.counters.Retried.Load(),
-		Quarantined:     m.counters.Quarantined.Load(),
-		Requeued:        m.counters.Requeued.Load(),
-		Stalled:         m.counters.Stalled.Load(),
-		ShedMemory:      m.counters.ShedMemory.Load(),
-		RefusedDisk:     m.counters.RefusedDisk.Load(),
-		Preempted:       m.counters.Preempted.Load(),
-		ShedQuota:       m.counters.ShedQuota.Load(),
-		Expired:         m.counters.Expired.Load(),
-		HandoffSent:     m.counters.HandoffSent.Load(),
-		HandoffReceived: m.counters.HandoffReceived.Load(),
-		HandoffFailed:   m.counters.HandoffFailed.Load(),
-		Tenants:         tenants,
-		QuarantinedNow:  quarantined,
-		DiskFreeBytes:   m.pressure.diskFreeBytes.Load(),
-		RSSBytes:        m.pressure.rssBytes.Load(),
-		DiskPressure:    int(m.pressure.diskLevel.Load()),
-		MemPressure:     m.pressure.memShedding(),
-		RetryAfterSec:   m.pressure.retryAfter(),
-		PeerFills:       m.counters.PeerFills.Load(),
-		StepSeconds:     steps,
+		UptimeSeconds:        time.Since(m.start).Seconds(),
+		QueueDepth:           depth,
+		Running:              running,
+		Submitted:            m.counters.Submitted.Load(),
+		Resumed:              m.counters.Resumed.Load(),
+		Interrupted:          m.counters.Interrupted.Load(),
+		Rejected:             m.counters.Rejected.Load(),
+		Completed:            m.counters.Completed.Load(),
+		Failed:               m.counters.Failed.Load(),
+		Cancelled:            m.counters.Cancelled.Load(),
+		Numerics:             m.counters.Numerics.Load(),
+		Coalesced:            m.counters.Coalesced.Load(),
+		Retried:              m.counters.Retried.Load(),
+		Quarantined:          m.counters.Quarantined.Load(),
+		Requeued:             m.counters.Requeued.Load(),
+		Stalled:              m.counters.Stalled.Load(),
+		ShedMemory:           m.counters.ShedMemory.Load(),
+		RefusedDisk:          m.counters.RefusedDisk.Load(),
+		Preempted:            m.counters.Preempted.Load(),
+		ShedQuota:            m.counters.ShedQuota.Load(),
+		Expired:              m.counters.Expired.Load(),
+		HandoffSent:          m.counters.HandoffSent.Load(),
+		HandoffReceived:      m.counters.HandoffReceived.Load(),
+		HandoffFailed:        m.counters.HandoffFailed.Load(),
+		CheckpointsDiscarded: m.counters.CheckpointsDiscarded.Load(),
+		Tenants:              tenants,
+		QuarantinedNow:       quarantined,
+		DiskFreeBytes:        m.pressure.diskFreeBytes.Load(),
+		RSSBytes:             m.pressure.rssBytes.Load(),
+		DiskPressure:         int(m.pressure.diskLevel.Load()),
+		MemPressure:          m.pressure.memShedding(),
+		RetryAfterSec:        m.pressure.retryAfter(),
+		PeerFills:            m.counters.PeerFills.Load(),
+		StepSeconds:          steps,
 	}
 	if m.cfg.PeerFiller != nil {
 		out.PeerFillEnabled = true

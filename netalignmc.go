@@ -26,9 +26,10 @@
 //	})
 //	fmt.Println(res.Objective, res.Matching.MateA)
 //
-// The subpackages under internal implement the substrates (CSR graphs
-// and sparse matrices, the matching algorithms, problem generators and
-// the experiment harness); this package is the supported API surface.
+// The subpackages under internal implement the substrates (CSR graphs,
+// the candidate graph, the matching algorithms, problem generators and
+// the experiment harness; the overlap matrix S lives in internal/core
+// as its fixed CSR pattern); this package is the supported API surface.
 package netalignmc
 
 import (
